@@ -832,12 +832,20 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import summary
+    from .experiments.grid import using_jobs
     from .experiments.registry import run_experiment
     from .experiments.runner import FULL, QUICK
 
-    print(run_experiment(args.artifact, scale=FULL if args.full else QUICK,
-                         jobs=args.jobs))
-    return 0
+    scale = FULL if args.full else QUICK
+    if args.artifact.lower() != "summary":
+        print(run_experiment(args.artifact, scale=scale, jobs=args.jobs))
+        return 0
+    # The scorecard is a gate: any claim outside its band fails the run.
+    with using_jobs(args.jobs):
+        card = summary.headline_summary(scale=scale)
+    print(card.format())
+    return 0 if card.all_hold else 1
 
 
 def _cmd_ablation(args) -> int:

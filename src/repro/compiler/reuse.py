@@ -1,11 +1,9 @@
 """Register reuse-distance analysis.
 
-The paper's motivation (its Figure 3) counts, for a sliding window of
-``IW`` consecutive instructions, how many register reads and writes
-could be eliminated.  This module implements that counting over dynamic
-traces: reuse distances here are measured in *instructions*, matching
-the paper's window definition (two accesses are in the same window when
-their instruction indices differ by less than ``IW``).
+Distances are measured in *instructions*, matching the paper's window
+definition (two accesses share a window when their indices differ by
+less than ``IW``); :func:`repro.core.window.window_gaps` turns them into
+the Figure 3 counts.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence
 
-from ..errors import CompilerError
 from ..isa import Instruction
 from ..isa.registers import SINK_REGISTER
 
@@ -49,7 +46,7 @@ def reuse_distances(trace: Sequence[Instruction]) -> Iterator[ReuseEvent]:
             distance = index - previous if previous is not None else None
             yield ReuseEvent(index, src.id, is_write=False, distance=distance)
             last_access[src.id] = index
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
+        if inst.dest is not None and inst.dest.id != SINK_REGISTER.id:
             previous = last_access.get(inst.dest.id)
             distance = index - previous if previous is not None else None
             yield ReuseEvent(index, inst.dest.id, is_write=True, distance=distance)
@@ -59,23 +56,14 @@ def reuse_distances(trace: Sequence[Instruction]) -> Iterator[ReuseEvent]:
 def read_bypass_fraction(trace: Sequence[Instruction], window_size: int) -> float:
     """Fraction of source reads a window of ``window_size`` can bypass.
 
-    A read hits the bypass buffer when the same register was accessed
-    (read or written) by one of the previous ``window_size - 1``
-    instructions: a prior write deposited the value in the collector, a
-    prior read fetched it there.  This is exactly the paper's sliding
-    (extended) window — every access refreshes residency.
+    A view over :func:`repro.core.window.window_gaps`: a read hits the
+    bypass buffer when its reuse distance is below the window size.
     """
-    if window_size < 1:
-        raise CompilerError(f"window_size must be >= 1, got {window_size}")
-    total = 0
-    bypassed = 0
-    for event in reuse_distances(trace):
-        if event.is_write:
-            continue
-        total += 1
-        if event.distance is not None and event.distance < window_size:
-            bypassed += 1
-    return bypassed / total if total else 0.0
+    from ..core.window import window_gaps
+
+    gaps = window_gaps(trace)
+    hits = gaps.read_hits(window_size)
+    return hits / gaps.reads if gaps.reads else 0.0
 
 
 def distance_histogram(trace: Sequence[Instruction],

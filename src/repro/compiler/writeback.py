@@ -32,8 +32,9 @@ Two variants are provided:
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import CompilerError
 from ..isa import Instruction, WritebackHint
@@ -83,42 +84,70 @@ class WriteClassification:
     needs_rf: bool
 
 
-def _classify_chain(
-    write_index: int,
-    read_indices: Sequence[int],
-    live_after_chain: bool,
-    window_size: int,
-) -> Tuple[WritebackClass, int, bool]:
-    """Classify one value given the indices of its reads.
+#: Access kinds in :func:`register_accesses`.  A predicated write only
+#: conditionally redefines (``rd = p ? v : rd``); a ``KILL`` does not.
+READ, PREDICATED_WRITE, KILL = 0, 1, 2
 
-    Args:
-        write_index: where the value is produced.
-        read_indices: strictly increasing read positions before the next
-            redefinition (or scope end).
-        live_after_chain: value may still be read after the analyzed
-            scope (no redefinition seen and register is live-out).
-        window_size: the nominal instruction window ``IW``.
+
+def register_accesses(
+    instructions: Sequence[Instruction],
+) -> Dict[int, List[Tuple[int, int]]]:
+    """Every register's accesses in program order, as ``(index, kind)``.
+
+    An instruction's source reads precede its destination write, so a
+    read at a redefinition index (``add r, r, x``) consumes the old
+    value.  Sink-register writes allocate no RF storage and are skipped.
     """
-    forwarded = 0
-    needs_rf = live_after_chain
-    previous = write_index
-    resident = True
-    for read_index in read_indices:
-        gap = read_index - previous
-        if resident and gap < window_size:
-            forwarded += 1
-        else:
-            resident = False
-            needs_rf = True
-        previous = read_index
+    accesses: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    sink = SINK_REGISTER.id
+    for index, inst in enumerate(instructions):
+        for src in inst.sources:
+            accesses[src.id].append((index, READ))
+        dest = inst.dest
+        if dest is not None and dest.id != sink:
+            accesses[dest.id].append(
+                (index, KILL if inst.predicate is None else PREDICATED_WRITE)
+            )
+    return accesses
 
-    if not read_indices and not live_after_chain:
-        return WritebackClass.DEAD, 0, False
-    if needs_rf and forwarded:
-        return WritebackClass.BOTH, forwarded, True
-    if needs_rf:
-        return WritebackClass.RF_ONLY, 0, True
-    return WritebackClass.OC_ONLY, forwarded, False
+
+def write_chains(
+    accesses: Sequence[Tuple[int, int]], live_out: bool, window_size: int
+) -> Iterator[Tuple[int, int, int, int, bool]]:
+    """Summarize every write of one register in a single backward sweep.
+
+    A value's read chain runs from its write up to and including the
+    next unpredicated write.  Chains sharing that kill are nested
+    suffixes of the same reads, so a sweep that resets at each kill is
+    linear.  Yields ``(index, reads, forwarded, max_gap, live_after)``
+    per write, last first: the chain's length; its reads before the
+    first gap >= ``window_size``; its largest gap, counted from the
+    write (0 when unread); and whether the value outlives the sequence
+    (no kill follows and the register is ``live_out``).
+    """
+    first = reads = run = max_gap = 0  # first: the suffix's earliest read
+    live_after = live_out
+    for index, kind in reversed(accesses):
+        if kind == READ:
+            if reads:
+                gap = first - index
+                if gap > max_gap:
+                    max_gap = gap
+                run = run + 1 if gap < window_size else 1
+            else:
+                run = 1
+            first = index
+            reads += 1
+            continue
+        if reads:
+            gap = first - index
+            yield (index, reads, run if gap < window_size else 0,
+                   max(gap, max_gap), live_after)
+        else:
+            yield index, 0, 0, 0, live_after
+        if kind == KILL:
+            reads = run = max_gap = 0
+            live_after = False
 
 
 def classify_linear_writes(
@@ -128,6 +157,8 @@ def classify_linear_writes(
 ) -> List[WriteClassification]:
     """Classify every destination write of a linear instruction sequence.
 
+    One :func:`write_chains` sweep per register: linear in the length.
+
     Args:
         instructions: the sequence (a block body or a trace).
         window_size: nominal window ``IW``.
@@ -135,50 +166,20 @@ def classify_linear_writes(
     """
     if window_size < 1:
         raise CompilerError(f"window_size must be >= 1, got {window_size}")
-
-    # Index reads and writes per register.  A predicated write is only a
-    # *conditional* redefinition (``rd = p ? v : rd``): it cannot end the
-    # previous value's read chain, because a runtime-false guard leaves
-    # the old value architecturally visible to every later reader.  Only
-    # the next unpredicated write is a definite kill.
-    reads: Dict[int, List[int]] = {}
-    writes: Dict[int, List[Tuple[int, bool]]] = {}
-    for index, inst in enumerate(instructions):
-        for src in inst.sources:
-            reads.setdefault(src.id, []).append(index)
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            writes.setdefault(inst.dest.id, []).append(
-                (index, inst.predicate is not None)
-            )
-
     results: List[WriteClassification] = []
-    for reg_id, write_list in sorted(writes.items()):
-        reg_reads = reads.get(reg_id, [])
-        for position, (write_index, _) in enumerate(write_list):
-            next_kill = next(
-                (later for later, predicated in write_list[position + 1:]
-                 if not predicated),
-                None,
-            )
-            chain = [
-                r for r in reg_reads
-                if r > write_index and (next_kill is None or r <= next_kill)
-            ]
-            # A read at the redefinition index itself (e.g. ``add r, r, x``)
-            # consumes the old value; reads beyond it consume the new one.
-            live_after = next_kill is None and reg_id in live_out
-            writeback, forwarded, needs_rf = _classify_chain(
-                write_index, chain, live_after, window_size
-            )
-            results.append(
-                WriteClassification(
-                    index=write_index,
-                    register_id=reg_id,
-                    writeback=writeback,
-                    reads_in_window=forwarded,
-                    needs_rf=needs_rf,
-                )
-            )
+    for reg_id, accesses in register_accesses(instructions).items():
+        chains = write_chains(accesses, reg_id in live_out, window_size)
+        for index, reads, forwarded, _, live_after in chains:
+            needs_rf = live_after or forwarded < reads
+            if needs_rf:
+                writeback = (WritebackClass.BOTH if forwarded
+                             else WritebackClass.RF_ONLY)
+            elif reads:
+                writeback = WritebackClass.OC_ONLY
+            else:
+                writeback = WritebackClass.DEAD
+            results.append(WriteClassification(
+                index, reg_id, writeback, forwarded, needs_rf))
     results.sort(key=lambda item: item.index)
     return results
 

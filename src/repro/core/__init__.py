@@ -34,13 +34,17 @@ from .occupancy import (
 )
 from .rfc import RFC_ENTRIES_PER_WARP, RFCCollectors, simulate_rfc
 from .window import (
+    WindowGaps,
     read_bypass_counts,
     table1_write_counts,
+    window_gaps,
     write_bypass_opportunity_counts,
     writeback_eliminated_counts,
 )
 
 __all__ = [
+    "WindowGaps",
+    "window_gaps",
     "read_bypass_counts",
     "write_bypass_opportunity_counts",
     "writeback_eliminated_counts",

@@ -18,12 +18,81 @@ Window semantics shared with the hardware model (see DESIGN.md SS5):
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from ..compiler.writeback import WritebackClass, classify_linear_writes
+from ..compiler.writeback import (
+    READ,
+    classify_linear_writes,
+    register_accesses,
+    write_chains,
+)
 from ..errors import CompilerError
 from ..isa import Instruction
 from ..isa.registers import SINK_REGISTER
+
+
+def _check_window(window_size: int) -> None:
+    if window_size < 1:
+        raise CompilerError(f"window_size must be >= 1, got {window_size}")
+
+
+@dataclass(frozen=True)
+class WindowGaps:
+    """One trace's reuse gaps: Figure 3's counts for every ``IW`` at once.
+
+    ``read_gaps`` holds, sorted, each read's distance to the previous
+    access of its register (first accesses have none); ``write_gaps``
+    the largest gap along each non-RF-bound write's read chain.
+    """
+
+    reads: int
+    writes: int
+    read_gaps: List[int]
+    write_gaps: List[int]
+
+    def read_hits(self, window_size: int) -> int:
+        """Reads bypassed at ``IW``: those whose gap is below it."""
+        _check_window(window_size)
+        return bisect_left(self.read_gaps, window_size)
+
+    def write_hits(self, window_size: int) -> int:
+        """Writes eliminable at ``IW`` (OC-only or dead)."""
+        _check_window(window_size)
+        return bisect_left(self.write_gaps, window_size)
+
+
+def window_gaps(
+    trace: Sequence[Instruction], live_out: FrozenSet[int] = frozenset()
+) -> WindowGaps:
+    """The all-windows reuse-gap pass: one sweep per register, then a sort.
+
+    A read is bypassed at ``IW`` iff its gap is below ``IW``.  A write is
+    eliminable at ``IW`` iff it is not RF-bound (some unpredicated write
+    kills it, or its register is not ``live_out``) and every gap along
+    its read chain, counted from the write, is below ``IW``.
+    """
+    reads = writes = 0
+    read_gaps: List[int] = []
+    write_gaps: List[int] = []
+    for reg_id, accesses in register_accesses(trace).items():
+        previous = None
+        for index, kind in accesses:
+            if kind == READ:
+                reads += 1
+                if previous is not None:
+                    read_gaps.append(index - previous)
+            previous = index
+        # Any window will do: only max_gap and live_after are used.
+        chains = write_chains(accesses, reg_id in live_out, 1)
+        for _, _, _, max_gap, live_after in chains:
+            writes += 1
+            if not live_after:
+                write_gaps.append(max_gap)
+    read_gaps.sort()
+    write_gaps.sort()
+    return WindowGaps(reads, writes, read_gaps, write_gaps)
 
 
 def read_bypass_counts(
@@ -35,21 +104,8 @@ def read_bypass_counts(
     by one of the previous ``IW - 1`` instructions: a prior write
     deposited the value in the collector, a prior read fetched it there.
     """
-    if window_size < 1:
-        raise CompilerError(f"window_size must be >= 1, got {window_size}")
-    last_access: Dict[int, int] = {}
-    bypassed = 0
-    total = 0
-    for index, inst in enumerate(trace):
-        for src in inst.sources:
-            total += 1
-            previous = last_access.get(src.id)
-            if previous is not None and index - previous < window_size:
-                bypassed += 1
-            last_access[src.id] = index
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            last_access[inst.dest.id] = index
-    return bypassed, total
+    gaps = window_gaps(trace)
+    return gaps.read_hits(window_size), gaps.reads
 
 
 def write_bypass_opportunity_counts(
@@ -60,19 +116,12 @@ def write_bypass_opportunity_counts(
     """(eliminable, total) destination writes for a window of ``IW``.
 
     A write is eliminable when its value never needs to reach the RF:
-    every read of the value occurs while it is still collector-resident
-    (all access gaps below ``IW``) and the value is dead afterwards —
-    exactly the compiler's transient (OC-only) class, which upper-bounds
-    what any of the writeback designs can save.
+    every read finds it collector-resident and it is dead afterwards —
+    the compiler's transient (OC-only or dead) class, an upper bound on
+    what any writeback design can save.
     """
-    classifications = classify_linear_writes(trace, window_size, live_out)
-    total = len(classifications)
-    eliminable = sum(
-        1
-        for item in classifications
-        if item.writeback in (WritebackClass.OC_ONLY, WritebackClass.DEAD)
-    )
-    return eliminable, total
+    gaps = window_gaps(trace, live_out)
+    return gaps.write_hits(window_size), gaps.writes
 
 
 def writeback_eliminated_counts(
@@ -87,46 +136,10 @@ def writeback_eliminated_counts(
     residency lapse writes the value back at slide-out; a value never
     rewritten is written back when it finally slides out (or at drain).
     """
-    if window_size < 1:
-        raise CompilerError(f"window_size must be >= 1, got {window_size}")
-
-    accesses: Dict[int, List[Tuple[int, bool]]] = {}
-    for index, inst in enumerate(trace):
-        for src in inst.sources:
-            accesses.setdefault(src.id, []).append((index, False))
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            accesses.setdefault(inst.dest.id, []).append((index, True))
-
-    eliminated = 0
-    total = 0
-    for events in accesses.values():
-        for position, (_, is_write) in enumerate(events):
-            if not is_write:
-                continue
-            total += 1
-            if follow_is_write(events, position, window_size):
-                eliminated += 1
-    return eliminated, total
-
-
-def follow_is_write(
-    events: List[Tuple[int, bool]], position: int, window_size: int
-) -> bool:
-    """Does the value written at ``events[position]`` get consolidated?
-
-    Helper for :func:`writeback_eliminated_counts`: walks the access
-    chain and reports whether a subsequent write is reached while every
-    gap stays below ``window_size``.
-    """
-    previous_index = events[position][0]
-    for follow in range(position + 1, len(events)):
-        index, is_write = events[follow]
-        if index - previous_index >= window_size:
-            return False
-        if is_write:
-            return True
-        previous_index = index
-    return False
+    eliminated = _writeback_eliminated_by_register(trace, window_size)
+    total = sum(1 for inst in trace
+                if inst.dest is not None and inst.dest.id != SINK_REGISTER.id)
+    return sum(eliminated.values()), total
 
 
 def table1_write_counts(
@@ -142,7 +155,7 @@ def table1_write_counts(
     """
     write_through: Dict[int, int] = {}
     for inst in trace:
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
+        if inst.dest is not None and inst.dest.id != SINK_REGISTER.id:
             write_through[inst.dest.id] = write_through.get(inst.dest.id, 0) + 1
 
     write_back = dict(write_through)
@@ -165,18 +178,16 @@ def table1_write_counts(
 def _writeback_eliminated_by_register(
     trace: Sequence[Instruction], window_size: int
 ) -> Dict[int, int]:
-    accesses: Dict[int, List[Tuple[int, bool]]] = {}
-    for index, inst in enumerate(trace):
-        for src in inst.sources:
-            accesses.setdefault(src.id, []).append((index, False))
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            accesses.setdefault(inst.dest.id, []).append((index, True))
-
+    _check_window(window_size)
     eliminated: Dict[int, int] = {}
-    for reg_id, events in accesses.items():
-        for position, (_, is_write) in enumerate(events):
-            if not is_write:
-                continue
-            if follow_is_write(events, position, window_size):
-                eliminated[reg_id] = eliminated.get(reg_id, 0) + 1
+    for reg_id, events in register_accesses(trace).items():
+        # resident: no gap >= IW since the last write, so the next consolidates it
+        resident, previous = False, 0
+        for index, kind in events:
+            resident = resident and index - previous < window_size
+            if kind != READ:
+                if resident:
+                    eliminated[reg_id] = eliminated.get(reg_id, 0) + 1
+                resident = True
+            previous = index
     return eliminated

@@ -28,7 +28,7 @@ from ..config import (
     WritebackPolicy,
 )
 from ..core.bow_sm import simulate_bow
-from ..core.window import read_bypass_counts
+from ..core.window import window_gaps
 from ..kernels.suites import benchmark_names, get_profile
 from ..kernels.synthetic import generate_kernel
 from ..stats.report import format_percent, format_table
@@ -214,17 +214,19 @@ def window_sweep(
     scale: RunScale = QUICK,
 ) -> WindowSweep:
     """Extend the Figure 3/10 sweep beyond IW=7 (the paper's future work)."""
-    trace = benchmark_trace(benchmark, scale)
+    hits = dict.fromkeys(windows, 0)
+    total = 0
+    for warp in benchmark_trace(benchmark, scale):
+        gaps = window_gaps(warp.instructions)
+        total += gaps.reads
+        for window_size in windows:
+            hits[window_size] += gaps.read_hits(window_size)
     grid = run_grid((benchmark,), ("baseline", "bow"), windows, scale=scale)
     base = grid.get(benchmark, "baseline")
     points = []
     for window_size in windows:
-        hits = total = 0
-        for warp in trace:
-            h, t = read_bypass_counts(warp.instructions, window_size)
-            hits, total = hits + h, total + t
         result = grid.get(benchmark, "bow", window_size)
-        points.append((window_size, hits / max(1, total),
+        points.append((window_size, hits[window_size] / max(1, total),
                        result.ipc / base.ipc - 1.0))
     return WindowSweep(benchmark=benchmark, points=points)
 

@@ -389,6 +389,30 @@ class TestExperiment:
     def test_unknown_artifact(self, capsys):
         assert main(["experiment", "fig99"]) == 1
 
+    @pytest.mark.parametrize("holds, status", [(True, 0), (False, 1)])
+    def test_summary_exit_status_gates_on_claims(self, monkeypatch, capsys,
+                                                 holds, status):
+        from repro.experiments import summary
+
+        claims = (
+            summary.Claim("IPC gain, BOW", "+11%", "+12.0%", True),
+            summary.Claim("reads bypassed", "59%",
+                          "58.0%" if holds else "12.0%", holds),
+        )
+        seen = []
+
+        def fake_summary(scale):
+            seen.append(scale)
+            return summary.HeadlineSummary(claims=claims)
+
+        monkeypatch.setattr(summary, "headline_summary", fake_summary)
+        assert main(["experiment", "summary", "--jobs", "2"]) == status
+        out = capsys.readouterr().out
+        # The table prints either way, naming the broken claim.
+        assert "Headline scorecard" in out
+        assert ("NO" in out) is not holds
+        assert len(seen) == 1
+
 
 class TestAblation:
     def test_rf_size_ablation(self, capsys):
