@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "device-level numbers (default: the design's "
                           "registry default, see `repro list --designs`)")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker threads dispatching the per-SM engines "
+                     help="worker processes running the per-SM engines "
                           "for --sms (results are identical at any job "
                           "count; default: 1)")
     run.add_argument("--no-fast-forward", action="store_true",
@@ -769,7 +769,7 @@ def _cmd_trace_import(args) -> int:
             result = simulate_device(
                 design, case.trace, num_sms=case.num_sms,
                 window_size=case.window, memory_seed=case.memory_seed,
-                jobs=1, executor="serial",
+                jobs=1,
             ).to_simulation_result()
         print(f"{case.name} on {design} (IW={case.window}, "
               f"{case.num_sms} SM(s), {case.trace.num_warps} warp(s)):")

@@ -16,7 +16,7 @@
 """
 
 from .boc import BOWCollectors
-from .bow_sm import DESIGNS, simulate_bow, simulate_design
+from .bow_sm import simulate_bow, simulate_design
 from .designs import (
     DesignSpec,
     design_names,
@@ -60,7 +60,6 @@ __all__ = [
     "unregister_design",
     "simulate_bow",
     "simulate_design",
-    "DESIGNS",
     "RFCCollectors",
     "simulate_rfc",
     "RFC_ENTRIES_PER_WARP",

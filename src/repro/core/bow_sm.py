@@ -4,20 +4,19 @@
 name through the declarative registry (:mod:`repro.core.designs`),
 which covers the paper's configurations: the unmodified GPU, baseline
 BOW (write-through), BOW-WB, BOW-WR, the half-size BOW-WR, and the RFC
-comparison point.  ``DESIGNS`` remains as a compatibility view of the
-registry's BOW-config factories.
+comparison point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..config import BOWConfig, GPUConfig
 from ..errors import SimulationError
 from ..gpu.sm import SimulationResult, SMEngine
 from ..kernels.trace import KernelTrace
 from .boc import BOWCollectors
-from .designs import design_specs, get_design, known_designs
+from .designs import get_design, known_designs
 
 
 def simulate_bow(
@@ -61,22 +60,6 @@ def simulate_bow(
         fast_forward=fast_forward,
     )
     return engine.run()
-
-
-def _registry_bow_configs() -> Dict[str, Callable[[int], Optional[BOWConfig]]]:
-    return {
-        spec.name: spec.bow_config
-        for spec in design_specs()
-        if spec.bow_config is not None
-    }
-
-
-#: Named BOW design points (compatibility view of the registry): each
-#: value is a factory of the design's BOWConfig keyed by the window.
-#: Non-BOW designs (``rfc``) live in the registry only.
-DESIGNS: Dict[str, Callable[[int], Optional[BOWConfig]]] = (
-    _registry_bow_configs()
-)
 
 
 def simulate_design(

@@ -44,6 +44,7 @@ from .resilience import (
     PointFailure,
     RetryPolicy,
     classify_failure,
+    fan_out,
 )
 from .runner import (
     FULL,
@@ -83,6 +84,7 @@ __all__ = [
     "TRANSIENT",
     "PERMANENT",
     "classify_failure",
+    "fan_out",
     "fig1_onchip_memory",
     "fig3_bypass_opportunity",
     "fig4_oc_latency",

@@ -16,33 +16,29 @@ provenance (memo / cache / simulated) plus a cache-counter snapshot, so
 callers — and the CI warm-cache smoke test — can verify claims like
 "this pass performed zero simulator invocations".
 
-Execution is **fault tolerant** (see :mod:`repro.experiments.resilience`
-for the policy pieces): a failing point is retried per its
+Execution is **fault tolerant**: the points to simulate go through
+:func:`~repro.experiments.resilience.fan_out`, the retry engine the
+device layer shares.  A failing point is retried per its
 :class:`~repro.experiments.resilience.RetryPolicy` and, once exhausted,
 recorded as a :class:`~repro.experiments.resilience.PointFailure` on
 ``GridResult.failures`` instead of killing the sweep.  Completed
 results are drained into the memo and disk cache as they arrive, so
 nothing finished is ever lost to a sibling's crash; a dead worker pool
-(``BrokenProcessPool``) is rebuilt and its in-flight points
-resubmitted.  With ``strict`` (the default for figure drivers) any
-residual failure raises *after* fan-in; with ``strict=False``
-(``repro sweep --keep-going``) the partial grid is returned.
+is rebuilt and its in-flight points resubmitted.  With ``strict`` (the
+default for figure drivers) any residual failure raises *after*
+fan-in; with ``strict=False`` (``repro sweep --keep-going``) the
+partial grid is returned.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import signal
-import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError, SweepPointError, SweepTimeoutError
+from ..errors import ExperimentError, SweepPointError
 from ..gpu.sm import SimulationResult
 from ..stats.cache import CacheStats
 from ..stats.report import format_table
@@ -50,11 +46,10 @@ from . import runner
 from .cache import RunCache, run_key
 from .resilience import (
     DEFAULT_POLICY,
-    TRANSIENT,
     PointFailure,
     RetryPolicy,
-    classify_failure,
     describe_failure,
+    fan_out,
 )
 from .runner import QUICK, RunScale
 
@@ -258,307 +253,13 @@ class GridResult:
 
 def _grid_worker(
     args: Tuple[str, str, int, RunScale],
-    marker: Optional[str] = None,
 ) -> Tuple[float, SimulationResult]:
-    """Execute one grid point in a pool worker; returns (seconds, result).
-
-    ``marker`` names a file written with this worker's PID when
-    execution starts and removed when it finishes: if the worker dies
-    mid-point the orphaned marker tells the parent *which* worker this
-    point had started on when the pool broke (see ``_run_parallel``'s
-    blame accounting).
-    """
+    """Execute one grid point; returns (seconds, result)."""
     benchmark, design, window, scale = args
-    if marker is not None:
-        try:
-            with open(marker, "w") as handle:
-                handle.write(str(os.getpid()))
-        except OSError:
-            marker = None  # sweep already tore the marker dir down
     started = time.perf_counter()
-    try:
-        result = runner.execute_run(benchmark, design, window_size=window,
-                                    scale=scale)
-    finally:
-        if marker is not None:
-            try:
-                os.unlink(marker)
-            except OSError:
-                pass
+    result = runner.execute_run(benchmark, design, window_size=window,
+                                scale=scale)
     return time.perf_counter() - started, result
-
-
-def _point_failure(point: GridPoint, error: BaseException, attempts: int,
-                   seconds: float) -> PointFailure:
-    return describe_failure(point.benchmark, point.design, point.window,
-                            point.label(), error, attempts, seconds)
-
-
-def _run_serial(
-    pending: Sequence[GridPoint],
-    scale: RunScale,
-    policy: RetryPolicy,
-    finish: Callable[[GridPoint, float, SimulationResult, int], None],
-    fail: Callable[[PointFailure], None],
-) -> None:
-    """Resolve ``pending`` in-process, honouring the retry policy.
-
-    The per-point timeout cannot preempt an in-process simulation, so
-    it is enforced *after* each attempt returns: an over-budget result
-    is discarded and recorded exactly as the parallel path would — the
-    two modes produce identical failure records for the same faults.
-    """
-    for point in pending:
-        attempts = 0
-        total = 0.0
-        while True:
-            attempts += 1
-            started = time.perf_counter()
-            try:
-                seconds, run = _grid_worker(
-                    (point.benchmark, point.design, point.window, scale)
-                )
-            except Exception as error:  # noqa: BLE001 — taxonomy decides
-                total += time.perf_counter() - started
-                kind = classify_failure(error)
-                if policy.should_retry(kind, attempts):
-                    time.sleep(policy.delay(attempts))
-                    continue
-                fail(_point_failure(point, error, attempts, total))
-                break
-            total += seconds
-            if policy.timeout is not None and seconds > policy.timeout:
-                error = SweepTimeoutError(point.label(), seconds,
-                                          policy.timeout)
-                if policy.should_retry(TRANSIENT, attempts):
-                    time.sleep(policy.delay(attempts))
-                    continue
-                fail(_point_failure(point, error, attempts, total))
-                break
-            finish(point, seconds, run, attempts)
-            break
-
-
-def _dead_worker_pids(pool: ProcessPoolExecutor):
-    """PIDs of workers that died abnormally, or ``None`` if unknown.
-
-    After a ``BrokenProcessPool`` the executor SIGTERMs its surviving
-    workers, so exit codes separate the culprit (a fault's exit code, a
-    kernel OOM-kill's ``-SIGKILL``) from innocents cleaned up with
-    ``-SIGTERM``.  Inspects the executor's private process table —
-    returns ``None`` (attribution unavailable) if the internals ever
-    change shape, and the caller falls back to charging every started
-    point.
-    """
-    try:
-        processes = dict(pool._processes)
-    except (AttributeError, TypeError):
-        return None
-    if not processes:
-        return None
-    culprits = set()
-    for pid, process in processes.items():
-        try:
-            process.join(timeout=5.0)
-            code = process.exitcode
-        except (OSError, ValueError, AssertionError):
-            code = None
-        if code is None or code not in (0, -signal.SIGTERM):
-            culprits.add(pid)
-    return culprits or None
-
-
-def _marker_pid(marker: Optional[str]) -> Optional[int]:
-    """The worker PID recorded in a started-marker, if it exists."""
-    if not marker:
-        return None
-    try:
-        with open(marker) as handle:
-            return int(handle.read().strip() or "0")
-    except (OSError, ValueError):
-        return None
-
-
-def _run_parallel(
-    pending: Sequence[GridPoint],
-    scale: RunScale,
-    jobs: int,
-    policy: RetryPolicy,
-    finish: Callable[[GridPoint, float, SimulationResult, int], None],
-    fail: Callable[[PointFailure], None],
-) -> None:
-    """Resolve ``pending`` on a worker pool, honouring the retry policy.
-
-    Completed futures are always drained (and handed to ``finish``,
-    which caches them) before anything else happens, so a crashing
-    sibling can never lose finished work.  A ``BrokenProcessPool``
-    tears the pool down, rebuilds it, and resubmits every in-flight
-    point; per-point deadlines abandon the running future (the worker
-    cannot be killed, but its eventual result is ignored) and retry or
-    fail the point.
-
-    Blame accounting on a pool break: a dead worker is anonymous, so
-    the engine cannot directly observe *which* point killed it.  Each
-    worker records its PID in a per-submission marker file when it
-    starts a point and removes the marker when done.  On a break the
-    engine joins the dead workers and reads their exit codes: points
-    whose orphaned marker names an abnormally-dead worker are charged
-    an attempt; points that never started, or whose worker was merely
-    SIGTERMed by pool cleanup, are resubmitted for free.  A sibling
-    therefore cannot exhaust its retry budget just because a crashier
-    neighbour keeps breaking the pool — the same fault yields the same
-    failure records at ``jobs=1`` and ``jobs=8``.
-    """
-    attempts: Dict[GridPoint, int] = {point: 0 for point in pending}
-    elapsed: Dict[GridPoint, float] = {point: 0.0 for point in pending}
-    #: (point, earliest submission time) — backoff delays live here.
-    ready: List[Tuple[GridPoint, float]] = [(p, 0.0) for p in pending]
-    futures: Dict[object, GridPoint] = {}
-    started_at: Dict[object, float] = {}
-    markers: Dict[object, str] = {}
-    marker_dir = tempfile.mkdtemp(prefix="repro-grid-")
-    marker_serial = 0
-    pool: Optional[ProcessPoolExecutor] = None
-
-    def open_pool(size_hint: int) -> ProcessPoolExecutor:
-        kwargs = {}
-        if _pool_initializer is not None:
-            func, initargs = _pool_initializer
-            kwargs = {"initializer": func, "initargs": initargs}
-        return ProcessPoolExecutor(
-            max_workers=min(jobs, max(1, size_hint)), **kwargs
-        )
-
-    def retry_or_fail(point: GridPoint, error: BaseException,
-                      extra_seconds: float) -> None:
-        elapsed[point] += extra_seconds
-        kind = classify_failure(error)
-        if policy.should_retry(kind, attempts[point]):
-            ready.append(
-                (point, time.monotonic() + policy.delay(attempts[point]))
-            )
-        else:
-            fail(_point_failure(point, error, attempts[point],
-                                elapsed[point]))
-
-    def resubmit_free(point: GridPoint) -> None:
-        attempts[point] -= 1  # the attempt never really ran
-        ready.append((point, 0.0))
-
-    try:
-        while ready or futures:
-            now = time.monotonic()
-            if pool is None and ready:
-                pool = open_pool(len(ready))
-            waiting = []
-            for point, not_before in ready:
-                if not_before <= now:
-                    attempts[point] += 1
-                    marker_serial += 1
-                    marker = os.path.join(marker_dir,
-                                          f"started-{marker_serial}")
-                    future = pool.submit(
-                        _grid_worker,
-                        (point.benchmark, point.design, point.window, scale),
-                        marker,
-                    )
-                    futures[future] = point
-                    started_at[future] = time.monotonic()
-                    markers[future] = marker
-                else:
-                    waiting.append((point, not_before))
-            ready = waiting
-
-            if not futures:
-                # Everything live is waiting out a backoff delay.
-                wake = min(not_before for _, not_before in ready)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            # Sleep until a completion, the nearest per-point deadline,
-            # or the nearest backoff expiry — whichever comes first.
-            wakeups = [not_before for _, not_before in ready]
-            if policy.timeout is not None:
-                wakeups.extend(started_at[future] + policy.timeout
-                               for future in futures)
-            timeout = (max(0.0, min(wakeups) - time.monotonic())
-                       if wakeups else None)
-            done, _ = wait(set(futures), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-
-            broken: List[Tuple[object, GridPoint, float, BaseException]] = []
-            for future in done:
-                point = futures.pop(future)
-                begun = started_at.pop(future)
-                try:
-                    seconds, run = future.result()
-                except BrokenProcessPool as error:
-                    broken.append((future, point, begun, error))
-                    continue
-                except Exception as error:  # noqa: BLE001 — taxonomy decides
-                    markers.pop(future, None)
-                    retry_or_fail(point, error, time.monotonic() - begun)
-                else:
-                    markers.pop(future, None)
-                    elapsed[point] += seconds
-                    if policy.timeout is not None and seconds > policy.timeout:
-                        retry_or_fail(
-                            point,
-                            SweepTimeoutError(point.label(), seconds,
-                                              policy.timeout),
-                            0.0,
-                        )
-                    else:
-                        finish(point, seconds, run, attempts[point])
-
-            if policy.timeout is not None:
-                now = time.monotonic()
-                expired = [future for future in futures
-                           if started_at[future] + policy.timeout <= now]
-                for future in expired:
-                    point = futures.pop(future)
-                    begun = started_at.pop(future)
-                    markers.pop(future, None)
-                    future.cancel()  # running futures stay; result ignored
-                    retry_or_fail(
-                        point,
-                        SweepTimeoutError(point.label(), now - begun,
-                                          policy.timeout),
-                        now - begun,
-                    )
-
-            if broken and pool is not None:
-                # The pool is dead: every remaining future died with it.
-                for future in list(futures):
-                    point = futures.pop(future)
-                    begun = started_at.pop(future)
-                    broken.append((
-                        future, point, begun,
-                        BrokenProcessPool(
-                            "process pool died with this point in flight"),
-                    ))
-                culprits = _dead_worker_pids(pool)
-                for future, point, begun, error in broken:
-                    marker = markers.pop(future, None)
-                    pid = _marker_pid(marker)
-                    if marker:
-                        try:
-                            os.unlink(marker)
-                        except OSError:
-                            pass
-                    if pid is None:
-                        resubmit_free(point)  # never started
-                    elif culprits is None or pid in culprits:
-                        retry_or_fail(point, error,
-                                      time.monotonic() - begun)
-                    else:
-                        resubmit_free(point)  # worker exonerated
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        shutil.rmtree(marker_dir, ignore_errors=True)
 
 
 _CACHE_DEFAULT = object()
@@ -747,7 +448,7 @@ def run_grid(
 
     # Layer 3: simulate what remains.
     def finish(point: GridPoint, seconds: float,
-               run: SimulationResult, attempts: int = 1) -> None:
+               run: SimulationResult, attempts: int) -> None:
         key = (point.benchmark.upper(), point.design, point.window)
         result.results[key] = run
         runner.memo_store(point.benchmark, point.design, point.window,
@@ -757,10 +458,18 @@ def run_grid(
                              scale), run)
         note(RunRecord(point, "sim", seconds, attempts))
 
-    if pending and (jobs == 1 or len(pending) == 1):
-        _run_serial(pending, scale, policy, finish, note_failure)
-    elif pending:
-        _run_parallel(pending, scale, jobs, policy, finish, note_failure)
+    def fail(point: GridPoint, error: BaseException, attempts: int,
+             seconds: float) -> None:
+        note_failure(describe_failure(
+            point.benchmark, point.design, point.window, point.label(),
+            error, attempts, seconds))
+
+    fan_out(
+        [(point, (point.benchmark, point.design, point.window, scale))
+         for point in pending],
+        _grid_worker, jobs=jobs, policy=policy, finish=finish, fail=fail,
+        label=GridPoint.label, initializer=_pool_initializer,
+    )
 
     result.wall_seconds = time.perf_counter() - started
     if disk is not None:

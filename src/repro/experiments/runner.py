@@ -234,32 +234,33 @@ def benchmark_trace(
     return trace
 
 
-#: Dispatcher settings for device-scale points resolved by this
-#: process: ``(jobs, executor)``.  Grid workers keep the serial default
-#: (their parallelism is across grid points already); the CLI threads
-#: ``run --sms --jobs`` through :func:`using_device_dispatch`.
-_device_dispatch: Tuple[int, str] = (1, "thread")
+#: Worker count for the SMs of device-scale points resolved by this
+#: process (``1`` = serial, more = a process pool).  Grid workers keep
+#: the serial default (their parallelism is across grid points
+#: already); the CLI threads ``run --sms --jobs`` through
+#: :func:`using_device_dispatch`.
+_device_dispatch: int = 1
 
 
-def set_device_dispatch(jobs: int, executor: str = "thread") -> None:
-    """Set how device-scale runs dispatch their SMs in this process."""
+def set_device_dispatch(jobs: int) -> None:
+    """Set how many workers device-scale runs in this process use."""
     global _device_dispatch
-    _device_dispatch = (max(1, int(jobs)), executor)
+    _device_dispatch = max(1, int(jobs))
 
 
 @contextlib.contextmanager
-def using_device_dispatch(jobs: int, executor: str = "thread"):
-    """Temporarily override the device dispatcher (CLI plumbing).
+def using_device_dispatch(jobs: int):
+    """Temporarily override the device worker count (CLI plumbing).
 
-    Device results are bit-identical across job counts and executor
-    kinds, so this changes wall-clock only — cached results stay valid.
+    Device results are bit-identical across job counts, so this changes
+    wall-clock only — cached results stay valid.
     """
     previous = _device_dispatch
-    set_device_dispatch(jobs, executor)
+    set_device_dispatch(jobs)
     try:
         yield
     finally:
-        set_device_dispatch(*previous)
+        set_device_dispatch(previous)
 
 
 #: Whether engines launched by this process use event-horizon
@@ -324,10 +325,9 @@ def execute_run(
     if scale.num_sms > 1:
         from ..gpu.device import simulate_device
 
-        jobs, executor = _device_dispatch
         return simulate_device(
             design, trace, num_sms=scale.num_sms, window_size=window_size,
-            memory_seed=scale.memory_seed, jobs=jobs, executor=executor,
+            memory_seed=scale.memory_seed, jobs=_device_dispatch,
             fast_forward=_fast_forward,
         ).to_simulation_result()
     return simulate_design(

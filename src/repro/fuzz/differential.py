@@ -88,7 +88,7 @@ def _run_case(case: TraceCase, design: str, fast_forward: bool = True):
         return result, [recorder]
     device = simulate_device(
         design, case.trace, num_sms=case.num_sms, window_size=case.window,
-        memory_seed=case.memory_seed, jobs=1, executor="serial",
+        memory_seed=case.memory_seed, jobs=1,
         recorder_factory=lambda sm_id: TraceRecorder(
             capacity=RECORDER_CAPACITY),
         fast_forward=fast_forward,

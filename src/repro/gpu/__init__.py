@@ -26,7 +26,6 @@ from .device import (
     simulate_device,
 )
 from .execution import ExecutionUnits, latency_for
-from .launch import LaunchResult, partition_warps, simulate_launch
 from .memory import MemoryModel
 from .reference import ReferenceResult, execute_reference
 from .regfile import BankedRegisterFile
@@ -48,9 +47,6 @@ __all__ = [
     "simulate_device",
     "ReferenceResult",
     "execute_reference",
-    "LaunchResult",
-    "partition_warps",
-    "simulate_launch",
     "BankArbiter",
     "AccessRequest",
     "BankedRegisterFile",

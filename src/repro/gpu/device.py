@@ -5,29 +5,29 @@ of the launch's thread blocks (CTAs) — while the per-SM engine
 (:mod:`repro.gpu.sm`) models exactly one SM.  This module closes that
 gap: :func:`simulate_device` partitions a :class:`KernelTrace` into
 per-SM sub-launches, executes the independent :class:`SMEngine`
-instances — serially, on a thread pool, or on a
-:class:`~concurrent.futures.ProcessPoolExecutor` — and aggregates a
-:class:`DeviceResult` whose counters describe the *device*: total
-instructions over the finish time of the slowest SM.
+instances — serially for ``jobs=1``, on a process pool otherwise — and
+aggregates a :class:`DeviceResult` whose counters describe the
+*device*: total instructions over the finish time of the slowest SM.
 
 Three properties make device runs trustworthy:
 
 * **Deterministic partitioning.**  CTAs (groups of ``warps_per_cta``
   consecutive warps) are assigned round-robin, rotated by the run seed
   — the same ``(trace, num_sms, seed)`` always yields the same
-  per-SM sub-launches, independent of worker count or executor kind.
+  per-SM sub-launches, independent of worker count.
 * **Placement-invariant memory behaviour.**  Sub-launches keep their
   *global* warp ids, and every SM's :class:`~repro.gpu.memory.MemoryModel`
   uses the same seed; since latency draws are keyed by
   ``(seed, warp_id, trace_index)``, a warp sees identical memory
   behaviour wherever it lands.  Register and memory images stay keyed
   by global warp identity, so aggregation is a disjoint merge.
-* **Drain/retry execution semantics** (mirroring the sweep engine of
-  :mod:`repro.experiments.grid`): completed SM results are always
-  collected before any raise, transient failures are retried per a
-  :class:`~repro.experiments.resilience.RetryPolicy` with deterministic
-  backoff, and a broken process pool is rebuilt with its in-flight SMs
-  resubmitted.
+* **One retry engine.**  SMs are resolved by
+  :func:`~repro.experiments.resilience.fan_out`, the engine sweeps use
+  too: completed SM results are always collected before any raise,
+  transient failures and timeouts are retried per a
+  :class:`~repro.experiments.resilience.RetryPolicy` with
+  deterministic backoff, and a broken process pool is rebuilt with
+  only the SM whose worker died charged an attempt.
 
 ``num_sms=1`` is an exact identity: the single partition holds every
 warp in launch order with the run's own memory seed, so a one-SM device
@@ -37,10 +37,7 @@ test suite asserts this for every registered design).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -49,9 +46,6 @@ from ..errors import SimulationError
 from ..kernels.trace import KernelTrace, WarpTrace
 from ..stats.counters import Counters
 from .sm import SimulationResult
-
-#: Executor kinds :func:`simulate_device` accepts.
-EXECUTORS = ("serial", "thread", "process")
 
 #: Warps per CTA (thread block) when the caller does not say: 4 warps =
 #: 128 threads, the common CTA shape of the paper's Table III kernels.
@@ -263,10 +257,12 @@ class DeviceResult:
         )
 
 
-def _run_sm(args: Tuple[str, KernelTrace, int, Optional[GPUConfig], int, bool],
-            recorder=None) -> Tuple[float, SimulationResult]:
+def _run_sm(
+    args: Tuple[str, KernelTrace, int, Optional[GPUConfig], int, bool, object],
+) -> Tuple[float, SimulationResult]:
     """Simulate one SM partition; the unit of (possibly remote) dispatch."""
-    design, sm_trace, window_size, config, memory_seed, fast_forward = args
+    (design, sm_trace, window_size, config, memory_seed, fast_forward,
+     recorder) = args
     from ..core.bow_sm import simulate_design
 
     started = time.perf_counter()
@@ -274,115 +270,6 @@ def _run_sm(args: Tuple[str, KernelTrace, int, Optional[GPUConfig], int, bool],
                              config=config, memory_seed=memory_seed,
                              recorder=recorder, fast_forward=fast_forward)
     return time.perf_counter() - started, result
-
-
-def default_device_jobs(num_sms: int) -> int:
-    """A sensible worker count for ``num_sms`` SMs on this machine."""
-    return max(1, min(num_sms, os.cpu_count() or 1))
-
-
-def _dispatch_serial(work, policy, finish, fail, recorder_for=None):
-    """Resolve the SM partitions in-process, honouring the retry policy."""
-    for sm_id, args in work:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                seconds, result = _run_sm(
-                    args,
-                    None if recorder_for is None else recorder_for(sm_id),
-                )
-            except Exception as error:  # noqa: BLE001 — taxonomy decides
-                from ..experiments.resilience import classify_failure
-
-                if policy.should_retry(classify_failure(error), attempts):
-                    time.sleep(policy.delay(attempts))
-                    continue
-                fail(sm_id, attempts, error)
-            else:
-                finish(sm_id, attempts, result)
-            break
-
-
-def _dispatch_pool(work, policy, finish, fail, jobs, executor,
-                   recorder_for=None):
-    """Fan the SM partitions over a worker pool, drain-then-retry style.
-
-    Mirrors the sweep engine's semantics at SM granularity: completed
-    futures are always drained (their results kept) before anything
-    else; failed SMs are retried per the policy with deterministic
-    backoff; a ``BrokenProcessPool`` rebuilds the pool and resubmits
-    every in-flight SM (each charged the attempt it lost).
-    """
-    from ..experiments.resilience import classify_failure
-
-    if executor == "thread":
-        from concurrent.futures import ThreadPoolExecutor as PoolClass
-    else:
-        PoolClass = ProcessPoolExecutor
-
-    attempts: Dict[int, int] = {sm_id: 0 for sm_id, _ in work}
-    args_by_sm = dict(work)
-    #: (sm_id, earliest submission time) — backoff delays live here.
-    ready: List[Tuple[int, float]] = [(sm_id, 0.0) for sm_id, _ in work]
-    futures: Dict[object, int] = {}
-    pool = None
-
-    def submit(pool, sm_id):
-        attempts[sm_id] += 1
-        recorder = None if recorder_for is None else recorder_for(sm_id)
-        futures[pool.submit(_run_sm, args_by_sm[sm_id], recorder)] = sm_id
-
-    def retry_or_fail(sm_id, error):
-        if policy.should_retry(classify_failure(error), attempts[sm_id]):
-            ready.append((sm_id, time.monotonic()
-                          + policy.delay(attempts[sm_id])))
-        else:
-            fail(sm_id, attempts[sm_id], error)
-
-    try:
-        while ready or futures:
-            now = time.monotonic()
-            if pool is None and ready:
-                pool = PoolClass(max_workers=min(jobs, max(1, len(ready))))
-            waiting = []
-            for sm_id, not_before in ready:
-                if not_before <= now:
-                    submit(pool, sm_id)
-                else:
-                    waiting.append((sm_id, not_before))
-            ready = waiting
-
-            if not futures:
-                wake = min(not_before for _, not_before in ready)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-            pool_broke = False
-            for future in done:
-                sm_id = futures.pop(future)
-                try:
-                    seconds, result = future.result()
-                except BrokenProcessPool as error:
-                    pool_broke = True
-                    retry_or_fail(sm_id, error)
-                except Exception as error:  # noqa: BLE001 — taxonomy decides
-                    retry_or_fail(sm_id, error)
-                else:
-                    finish(sm_id, attempts[sm_id], result)
-
-            if pool_broke and pool is not None:
-                # The pool died: every in-flight SM died with it.
-                for future in list(futures):
-                    sm_id = futures.pop(future)
-                    retry_or_fail(sm_id, BrokenProcessPool(
-                        "process pool died with this SM in flight"))
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def simulate_device(
@@ -395,7 +282,6 @@ def simulate_device(
     seed: Optional[int] = None,
     warps_per_cta: int = DEFAULT_WARPS_PER_CTA,
     jobs: int = 1,
-    executor: str = "thread",
     retry=None,
     recorder_factory: Optional[Callable[[int], object]] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -416,11 +302,9 @@ def simulate_device(
         seed: partition rotation seed; ``None`` uses ``memory_seed``
             (the run seed keys the CTA scheduler).
         warps_per_cta: warps per thread block (the assignment unit).
-        jobs: dispatcher worker count; 1 runs the SMs serially
-            in-process regardless of ``executor``.
-        executor: ``"serial"``, ``"thread"`` or ``"process"`` — how
-            SM engines execute when ``jobs > 1``.  Results are
-            bit-identical across all three (and across job counts).
+        jobs: ``1`` runs the SMs serially in-process; more runs them
+            on a process pool of up to ``jobs`` workers.  Results are
+            bit-identical across job counts.
         retry: a :class:`~repro.experiments.resilience.RetryPolicy`
             (``None`` uses :data:`~repro.experiments.resilience.NO_RETRY`
             — SM engines are deterministic, so only transient
@@ -428,7 +312,7 @@ def simulate_device(
             ``DEFAULT_POLICY`` for sweep-grade resilience).
         recorder_factory: optional ``sm_id -> TraceRecorder`` hook; the
             per-SM recorders land on ``DeviceResult.recorders``.
-            Requires an in-process executor (serial or thread).
+            Requires ``jobs=1``: recorders cannot cross processes.
         progress: optional callback receiving one line per finished SM.
         fast_forward: forwarded to every SM engine; ``False`` ticks
             each engine cycle-by-cycle (the event-horizon kill switch).
@@ -442,19 +326,14 @@ def simulate_device(
     resolved_config = config or GPUConfig()
     if num_sms is None:
         num_sms = resolved_config.num_sms
-    if executor not in EXECUTORS:
-        raise SimulationError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
     if trace.num_warps == 0:
         raise SimulationError("cannot simulate an empty launch")
-    if recorder_factory is not None and executor == "process" and jobs > 1:
+    if recorder_factory is not None and jobs > 1:
         raise SimulationError(
-            "per-SM trace capture needs an in-process executor "
-            "(serial or thread); recorders cannot cross processes"
+            "per-SM trace capture needs jobs=1; recorders cannot cross "
+            "processes"
         )
-    if retry is None:
-        from ..experiments.resilience import NO_RETRY as retry
+    from ..experiments.resilience import NO_RETRY, fan_out
 
     partition = partition_launch(
         trace, num_sms, seed=memory_seed if seed is None else seed,
@@ -467,14 +346,16 @@ def simulate_device(
 
     work = [
         (sm.sm_id, (design, sm.trace, window_size, config, memory_seed,
-                    fast_forward))
+                    fast_forward,
+                    None if recorders is None else recorders[sm.sm_id]))
         for sm in partition.sms
     ]
     per_sm: Dict[int, SimulationResult] = {}
     attempts_by_sm: Dict[int, int] = {}
     failures: List[Tuple[int, int, BaseException]] = []
 
-    def finish(sm_id: int, attempts: int, result: SimulationResult) -> None:
+    def finish(sm_id: int, seconds: float, result: SimulationResult,
+               attempts: int) -> None:
         per_sm[sm_id] = result
         attempts_by_sm[sm_id] = attempts
         if progress is not None:
@@ -482,19 +363,15 @@ def simulate_device(
                      f"{result.counters.cycles} cycles, "
                      f"IPC {result.ipc:.3f}")
 
-    def fail(sm_id: int, attempts: int, error: BaseException) -> None:
+    def fail(sm_id: int, error: BaseException, attempts: int,
+             seconds: float) -> None:
         failures.append((sm_id, attempts, error))
         if progress is not None:
             progress(f"SM {sm_id} FAILED after {attempts} attempt(s): "
                      f"{type(error).__name__}: {error}")
 
-    recorder_for = None if recorders is None else recorders.get
-    if jobs <= 1 or len(work) == 1 or executor == "serial":
-        _dispatch_serial(work, retry, finish, fail,
-                         recorder_for=recorder_for)
-    else:
-        _dispatch_pool(work, retry, finish, fail, jobs, executor,
-                       recorder_for=recorder_for)
+    fan_out(work, _run_sm, jobs=jobs, policy=retry or NO_RETRY,
+            finish=finish, fail=fail, label=lambda sm_id: f"SM {sm_id}")
 
     if failures:
         # Drain semantics: every completed SM result was already kept.

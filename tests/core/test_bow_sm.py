@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.core.bow_sm import DESIGNS, simulate_bow, simulate_design
+from repro.core.bow_sm import simulate_bow, simulate_design
+from repro.core.designs import design_names, get_design
 from repro.errors import SimulationError
 
 
 class TestRegistry:
     def test_known_designs(self):
-        assert set(DESIGNS) == {
+        # Every paper design except RFC is a BOWConfig point.
+        bow_points = {name for name in design_names()
+                      if get_design(name).bow_config is not None}
+        assert bow_points == {
             "baseline", "bow", "bow-wb", "bow-wr", "bow-wr-half",
         }
 

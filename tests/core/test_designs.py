@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bow_sm import DESIGNS, simulate_design
+from repro.core.bow_sm import simulate_design
 from repro.core.designs import (
     DesignSpec,
     design_names,
@@ -59,13 +59,6 @@ class TestRegistryContents:
 
     def test_known_designs_joins_names(self):
         assert known_designs() == ", ".join(design_names())
-
-    def test_designs_compat_view(self):
-        # The legacy mapping exposes exactly the BOW-config designs
-        # (rfc has no BOWConfig and is absent).
-        assert set(DESIGNS) == set(PAPER_DESIGNS) - {"rfc"}
-        assert DESIGNS["bow"](3).window_size == 3
-        assert not DESIGNS["baseline"](3).enabled
 
 
 class TestRegistration:

@@ -5,17 +5,22 @@ The two load-bearing guarantees:
 * ``num_sms=1`` is an exact identity — bit-identical counters and
   state images versus :func:`simulate_design`, for every registered
   design;
-* multi-SM results are deterministic across job counts and executor
-  kinds (serial / thread / process).
+* multi-SM results are deterministic across job counts (serial and
+  process pool).
 """
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
+import repro.gpu.device as device_module
 from repro.core.bow_sm import simulate_design
 from repro.core.designs import design_names
 from repro.errors import ExperimentError, SimulationError
+from repro.experiments.resilience import RetryPolicy
 from repro.gpu.device import merge_counters, partition_launch, simulate_device
 from repro.isa import parse_program
 from repro.kernels.synthetic import generate_compiled_trace, generate_trace
@@ -48,6 +53,54 @@ def state_key(result):
     )
 
 
+#: Environment variable naming the directory :func:`crash_once_run_sm`
+#: coordinates through (pool workers inherit the environment).
+CRASH_DIR_ENV = "REPRO_TEST_CRASH_DIR"
+
+#: The SM whose first worker :func:`crash_once_run_sm` kills.
+CRASH_SM = 1
+
+#: The engine-backed ``_run_sm`` the stand-ins below delegate to.
+REAL_RUN_SM = device_module._run_sm
+
+
+def _claim(path):
+    """Create ``path`` exclusively; whether this caller created it."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _wait_until(ready, limit=30.0):
+    deadline = time.monotonic() + limit
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def crash_once_run_sm(args):
+    """A picklable ``_run_sm`` stand-in whose ``CRASH_SM`` worker dies once.
+
+    Each SM's first attempt claims a ``started-<sm>`` marker.  The
+    crashing SM's first attempt waits until every SM has started, then
+    hard-exits its worker; the other first attempts wait for that and
+    linger, so they are in flight when the pool breaks.  Every later
+    attempt runs the real engine.
+    """
+    state = os.environ[CRASH_DIR_ENV]
+    sm_id = int(args[1].name.rsplit("@sm", 1)[1])
+    if _claim(os.path.join(state, f"started-{sm_id}")):
+        crashed = os.path.join(state, "crashed")
+        if sm_id == CRASH_SM:
+            _wait_until(lambda: len(os.listdir(state)) >= 4)
+            _claim(crashed)
+            os._exit(1)
+        _wait_until(lambda: os.path.exists(crashed))
+        time.sleep(2.0)
+    return REAL_RUN_SM(args)
+
+
 @pytest.fixture(scope="module")
 def device_trace():
     """A realistic multi-warp trace (NW profile, 16 warps)."""
@@ -67,6 +120,9 @@ class TestPartition:
         seen = [w for sm in partition.sms for w in sm.warp_ids]
         assert sorted(seen) == list(range(13))
         assert len(seen) == len(set(seen))
+        # Four 2-warp CTAs round-robin over 2 SMs: an even split.
+        even = partition_launch(launch_trace(8), num_sms=2, warps_per_cta=2)
+        assert [len(sm.warp_ids) for sm in even.sms] == [4, 4]
 
     def test_warps_keep_global_ids(self):
         partition = partition_launch(launch_trace(16), num_sms=4)
@@ -152,15 +208,14 @@ class TestMultiSMDeterminism:
         return simulate_device("bow", device_trace, num_sms=4, window_size=3,
                                memory_seed=SEED, jobs=1)
 
-    @pytest.mark.parametrize("executor,jobs", [
-        ("serial", 1),
-        ("thread", 4),
-        ("process", 4),
+    @pytest.mark.parametrize("jobs", [
+        pytest.param(1, id="serial-1"),
+        pytest.param(4, id="process-4"),
     ])
     def test_identical_across_dispatchers(self, reference, device_trace,
-                                          executor, jobs):
+                                          jobs):
         run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
-                              memory_seed=SEED, jobs=jobs, executor=executor)
+                              memory_seed=SEED, jobs=jobs)
         assert state_key(run.to_simulation_result()) == \
             state_key(reference.to_simulation_result())
         for sm_id, result in reference.per_sm.items():
@@ -191,6 +246,11 @@ class TestAggregation:
                     for r in device_run.per_sm.values())
         assert device_run.counters.instructions == total
         assert total == device_trace.total_instructions
+        # Same work on the baseline, but BOW bypasses register reads.
+        baseline = simulate_device("baseline", device_trace, num_sms=4,
+                                   window_size=3, memory_seed=SEED)
+        assert baseline.counters.instructions == total
+        assert device_run.counters.rf_reads < baseline.counters.rf_reads
 
     def test_cycles_is_slowest_sm(self, device_run):
         slowest = max(r.counters.cycles for r in device_run.per_sm.values())
@@ -212,6 +272,15 @@ class TestAggregation:
 
     def test_load_imbalance_at_least_one(self, device_run):
         assert device_run.load_imbalance() >= 1.0
+        # Identical CTAs long enough for memory latencies to average
+        # out: close to perfectly balanced.
+        program = parse_program(PROGRAM) * 40
+        balanced = KernelTrace(name="balanced", warps=[
+            WarpTrace(warp_id=w, instructions=list(program))
+            for w in range(8)
+        ])
+        run = simulate_device("baseline", balanced, num_sms=2)
+        assert run.load_imbalance() == pytest.approx(1.0, abs=0.25)
 
     def test_load_imbalance_all_zero_cycles_is_balanced(self, device_run):
         """Degenerate-but-balanced: every SM at zero cycles means every
@@ -250,20 +319,15 @@ class TestValidation:
         with pytest.raises(SimulationError, match="num_sms"):
             simulate_device("bow", launch_trace(4), num_sms=0)
 
-    def test_unknown_executor(self):
-        with pytest.raises(SimulationError, match="executor"):
-            simulate_device("bow", launch_trace(4), num_sms=2,
-                            jobs=2, executor="rocket")
-
     def test_empty_launch(self):
         with pytest.raises(SimulationError, match="empty"):
             simulate_device("bow", KernelTrace(name="empty", warps=[]),
                             num_sms=2)
 
     def test_recorders_refuse_process_pool(self):
+        # Recorders need jobs=1: they cannot cross processes.
         with pytest.raises(SimulationError, match="recorder"):
             simulate_device("bow", launch_trace(8), num_sms=2, jobs=2,
-                            executor="process",
                             recorder_factory=lambda sm: TraceRecorder())
 
     def test_config_default_sms(self):
@@ -287,71 +351,68 @@ class TestRecorders:
         for recorder in run.recorders.values():
             assert recorder.emitted > 0
 
-    def test_thread_pool_recorders(self, device_trace):
-        run = simulate_device(
-            "bow", device_trace, num_sms=2, window_size=3, memory_seed=SEED,
-            jobs=2, executor="thread",
-            recorder_factory=lambda sm_id: TraceRecorder(capacity=1024),
-        )
-        assert all(r.emitted > 0 for r in run.recorders.values())
-
 
 class TestRetrySemantics:
     def _flaky_run_sm(self, fail_once_for):
         """A ``_run_sm`` stand-in that fails each listed SM once."""
-        from repro.gpu import device as device_module
-
-        real = device_module._run_sm
         remaining = set(fail_once_for)
 
-        def run(args, recorder=None):
+        def run(args):
             sm_trace = args[1]
             sm_id = int(sm_trace.name.rsplit("@sm", 1)[1])
             if sm_id in remaining:
                 remaining.discard(sm_id)
                 raise OSError(f"injected transient failure on SM {sm_id}")
-            return real(args, recorder)
+            return REAL_RUN_SM(args)
 
         return run
 
     def test_serial_retries_transient(self, monkeypatch, device_trace):
-        from repro.experiments.resilience import RetryPolicy
-        from repro.gpu import device as device_module
-
-        monkeypatch.setattr(device_module, "_run_sm",
-                            self._flaky_run_sm({1}))
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
-        run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
-                              memory_seed=SEED, retry=policy)
-        assert run.attempts[1] == 2
-        assert all(run.attempts[sm] == 1 for sm in run.attempts if sm != 1)
-
-    def test_thread_pool_retries_transient(self, monkeypatch, device_trace):
-        from repro.experiments.resilience import RetryPolicy
-        from repro.gpu import device as device_module
-
         monkeypatch.setattr(device_module, "_run_sm",
                             self._flaky_run_sm({0, 2}))
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
         run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
-                              memory_seed=SEED, jobs=4, executor="thread",
-                              retry=policy)
-        assert run.attempts[0] == 2
-        assert run.attempts[2] == 2
+                              memory_seed=SEED, retry=policy)
+        assert run.attempts == {0: 2, 1: 1, 2: 2, 3: 1}
         # Retried runs still produce the canonical result.
+        monkeypatch.undo()
         clean = simulate_device("bow", device_trace, num_sms=4, window_size=3,
                                 memory_seed=SEED)
         assert state_key(run.to_simulation_result()) == \
             state_key(clean.to_simulation_result())
 
     def test_no_retry_surfaces_failure(self, monkeypatch, device_trace):
-        from repro.gpu import device as device_module
-
         monkeypatch.setattr(device_module, "_run_sm",
                             self._flaky_run_sm({1}))
         with pytest.raises(SimulationError, match="SM 1"):
             simulate_device("bow", device_trace, num_sms=4, window_size=3,
                             memory_seed=SEED)
+
+    def test_timeout_fails_device(self, device_trace):
+        # In-process, the budget is checked after each SM returns; no
+        # engine finishes inside a microsecond.
+        policy = RetryPolicy(max_attempts=1, timeout=1e-6)
+        with pytest.raises(SimulationError, match="timeout"):
+            simulate_device("bow", device_trace, num_sms=2, window_size=3,
+                            memory_seed=SEED, jobs=1, retry=policy)
+
+    def test_pool_crash_blames_only_its_sm(self, monkeypatch, tmp_path,
+                                           device_trace):
+        monkeypatch.setenv(CRASH_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(device_module, "_run_sm", crash_once_run_sm)
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
+        run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
+                              memory_seed=SEED, jobs=4, retry=policy)
+        # Only the SM whose worker died is charged; its in-flight
+        # siblings were resubmitted for free.
+        assert run.attempts == {0: 1, 1: 2, 2: 1, 3: 1}
+        monkeypatch.undo()
+        clean = simulate_device("bow", device_trace, num_sms=4, window_size=3,
+                                memory_seed=SEED)
+        assert state_key(run.to_simulation_result()) == \
+            state_key(clean.to_simulation_result())
+        for sm_id, result in clean.per_sm.items():
+            assert state_key(run.per_sm[sm_id]) == state_key(result)
 
     def test_progress_callback(self, device_trace):
         lines = []

@@ -15,7 +15,8 @@ from typing import Dict, Tuple
 import pytest
 from tests.conftest import SEED, small_spec
 
-from repro.core.bow_sm import DESIGNS, simulate_design
+from repro.core.bow_sm import simulate_design
+from repro.core.designs import design_names
 from repro.gpu.reference import ReferenceResult, execute_reference
 from repro.gpu.sm import SimulationResult
 from repro.kernels.synthetic import generate_compiled_trace, generate_trace
@@ -26,8 +27,8 @@ from repro.stats.trace import TraceRecorder
 #: full designs x benchmarks matrix stays fast).
 ORACLE_BENCHMARKS = ("NW", "BFS", "SAD")
 
-#: Every runnable design: the registry plus the RFC comparison point.
-ALL_DESIGNS = tuple(sorted(DESIGNS)) + ("rfc",)
+#: Every runnable design in the registry (RFC included).
+ALL_DESIGNS = design_names()
 
 #: Designs that leave dead (compiler-transient) values out of the RF;
 #: their final register file is a *subset* of the reference image.

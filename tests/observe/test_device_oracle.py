@@ -55,7 +55,6 @@ def device_runs(oracle_runs) -> Dict[str, DevicePoint]:
             memory_seed=SEED,
             warps_per_cta=WARPS_PER_CTA,
             jobs=1,
-            executor="serial",
             recorder_factory=lambda sm_id: TraceRecorder(capacity=CAPACITY),
         )
         points[design] = DevicePoint(

@@ -6,6 +6,8 @@ must be accurate (every name resolvable).
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -41,10 +43,50 @@ class TestExports:
         from repro import build_benchmark_trace, simulate_design  # noqa: F401
 
     def test_designs_cover_paper(self):
-        from repro.core import DESIGNS
+        from repro.core import design_names
 
         assert {"baseline", "bow", "bow-wb", "bow-wr",
-                "bow-wr-half"} <= set(DESIGNS)
+                "bow-wr-half", "rfc"} <= set(design_names())
+
+
+def _api_doc_rows():
+    """``{package: {symbol, ...}}`` from the tables of docs/API.md."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "API.md").read_text(
+        encoding="utf-8")
+    rows = {}
+    section = None
+    for line in text.splitlines():
+        heading = re.match(r"## `([\w.]+)`", line)
+        if heading:
+            section = rows.setdefault(heading.group(1), set())
+            continue
+        row = re.match(r"\| `(\w+)` \|", line)
+        if row and section is not None:
+            section.add(row.group(1))
+    return rows
+
+
+class TestApiDoc:
+    """docs/API.md (regenerate with tools/gen_api_docs.py) stays honest."""
+
+    def test_every_export_has_a_row(self):
+        rows = _api_doc_rows()
+        missing = [
+            f"{package}.{name}"
+            for package in PACKAGES
+            for name in importlib.import_module(package).__all__
+            if name not in rows.get(package, set())
+        ]
+        assert not missing, f"docs/API.md lacks rows for {missing}"
+
+    def test_no_row_names_a_gone_symbol(self):
+        gone = [
+            f"{package}.{name}"
+            for package, names in _api_doc_rows().items()
+            for name in names
+            if not hasattr(importlib.import_module(package), name)
+        ]
+        assert not gone, f"docs/API.md documents removed symbols {gone}"
 
 
 class TestMinimalFlows:
