@@ -106,10 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "for --sms (results are identical at any job "
                           "count; default: 1)")
     run.add_argument("--no-fast-forward", action="store_true",
-                     help="tick the engine cycle-by-cycle instead of "
-                          "jumping provably idle spans (results are "
-                          "bit-identical; this is the diagnostic kill "
-                          "switch, and it bypasses the run caches)")
+                     help="run the engine's reference loop: every stage "
+                          "and the full issue walk every cycle, no idle-"
+                          "span jumps (results are bit-identical; this is "
+                          "the diagnostic oracle, and it bypasses the run "
+                          "caches)")
 
     sweep = sub.add_parser(
         "sweep", help="run a benchmark x design x IW grid, cached")
@@ -716,8 +717,9 @@ def _cmd_fuzz(args) -> int:
           f"{failure.design!r} (num_sms={failure.num_sms}) after "
           f"{report.runs} run(s):", file=sys.stderr)
     if failure.fast_forward_only:
-        print("  per-cycle re-run matches the reference: the divergence "
-              "is in the fast-forward machinery, not the design model",
+        print("  reference-loop re-run matches the reference: the "
+              "divergence is in the engine's optimized loop, not the "
+              "design model",
               file=sys.stderr)
     for mismatch in failure.mismatches:
         print(f"  {mismatch}", file=sys.stderr)

@@ -62,8 +62,6 @@ class _WarpBOC:
 class BOWCollectors(OperandProvider):
     """Per-warp BOCs implementing the three BOW writeback policies."""
 
-    prefilters_inflight = True  # read_requests skips in-flight tags
-    tick_guards = True  # heads_pending / stable ready list maintained
 
     def __init__(self, engine, bow: BOWConfig):
         if not bow.enabled:
@@ -287,8 +285,7 @@ class BOWCollectors(OperandProvider):
 
     def read_requests(self, cycle: int) -> List[AccessRequest]:
         requests = []
-        # Skip slots whose read was already granted (the engine would
-        # filter them anyway; not building the request is cheaper).
+        # Skip slots whose read was already granted (the contract).
         inflight_tags = self.engine.state.inflight_read_tags
         for warp in self._warps.values():
             for entry in warp.inflight:

@@ -54,8 +54,6 @@ class RFCCollectors(OperandProvider):
     """Conventional collectors backed by a per-warp register-file cache."""
 
     shared_pool = True  # can_accept gates on the pool, not the warp
-    prefilters_inflight = True  # read_requests skips in-flight tags
-    tick_guards = True  # heads_pending / due_heap / stable ready list
 
     def __init__(self, engine, num_units: int,
                  entries_per_warp: int = RFC_ENTRIES_PER_WARP):
@@ -74,8 +72,10 @@ class RFCCollectors(OperandProvider):
         # hit takes the same pipelined read latency — it skips only the
         # bank port (and its conflicts).
         self._hits_due: Dict[int, List[Tuple[Tuple[int, int], int, int]]] = {}
-        # Min-heap of the due cycles present in _hits_due; the engine's
-        # tick guard and fast-forward horizon both peek it in O(1).
+        # Min-heap of the due cycles present in _hits_due (the
+        # provider's due_heap): a hit scheduled at cycle c lands at
+        # c + hit_delta, so the engine must tick that cycle even when
+        # every other structure is idle.
         # Hits deliver exactly at their due cycle, so heads never stale.
         self.due_heap: List[int] = []
         self._serving: set = set()
@@ -142,10 +142,9 @@ class RFCCollectors(OperandProvider):
                     )
                 continue
             if tag in inflight_tags:
-                # The bank read was already granted; the engine would
-                # filter a re-request, so don't build it.  (The cache
-                # check above must still run first: a concurrent fill
-                # schedules a hit exactly as on the unfiltered path.)
+                # The bank read was already granted: never re-request
+                # it.  (The cache check above must still run first: a
+                # concurrent fill schedules a hit for the slot.)
                 continue
             request = entry.head_request
             if request is None or request.tag[1] != slot:
@@ -159,15 +158,6 @@ class RFCCollectors(OperandProvider):
                 entry.head_request = request
             requests.append(request)
         return requests
-
-    def next_event_cycle(self) -> Optional[int]:
-        """Earliest pending cache-hit delivery (fast-forward horizon).
-
-        Hits serialize through the pipelined collector port, so a hit
-        scheduled at cycle *c* lands at ``c + hit_delta`` — the engine
-        must tick that cycle even if every other structure is idle.
-        """
-        return self.due_heap[0] if self.due_heap else None
 
     def _deliver_due_hits(self, cycle: int) -> None:
         heap = self.due_heap

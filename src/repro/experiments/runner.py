@@ -263,10 +263,10 @@ def using_device_dispatch(jobs: int):
         set_device_dispatch(previous)
 
 
-#: Whether engines launched by this process use event-horizon
-#: fast-forward.  Results are bit-identical either way (the engine's
-#: core contract, enforced by the differential suites), so this is a
-#: diagnostic kill switch, not a result knob — which is also why it is
+#: Whether engines launched by this process run the fast loop (``False``
+#: runs the reference loop).  Results are bit-identical either way (the
+#: engine's core contract, enforced by the differential suites), so this
+#: is a diagnostic switch, not a result knob — which is also why it is
 #: deliberately NOT part of any cache key.
 _fast_forward: bool = True
 
@@ -284,11 +284,11 @@ def fast_forward_enabled() -> bool:
 
 @contextlib.contextmanager
 def using_fast_forward(enabled: bool):
-    """Temporarily override the fast-forward kill switch (CLI plumbing).
+    """Temporarily override the fast-loop switch (CLI plumbing).
 
     With fast-forward *disabled*, :func:`run_design` bypasses the memo
     and the on-disk cache in both directions: a ``--no-fast-forward``
-    run exists to exercise the per-cycle engine path, so serving it a
+    run exists to exercise the engine's reference loop, so serving it a
     cached (fast-forwarded) result would defeat its purpose, and its
     own result is not stored because ``fast_forwarded_cycles`` would
     poison later cache hits.

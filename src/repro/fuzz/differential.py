@@ -185,9 +185,10 @@ def compare_case(case: TraceCase, design: str,
     Returns every observed divergence (empty list = architecturally
     equivalent).  ``reference`` may be passed in to amortize the
     functional execution across designs sharing a trace.
-    ``fast_forward=False`` runs the engine cycle-by-cycle — the
-    campaign uses it to attribute a mismatch to the design model vs.
-    the event-horizon machinery.
+    ``fast_forward=False`` runs the engine's reference loop (every
+    stage and the full issue walk every cycle, no idle-span jumps) —
+    the campaign uses it to attribute a mismatch to the design model
+    vs. the engine's optimized loop.
     """
     try:
         spec = get_design(design)
@@ -244,10 +245,10 @@ def case_for(fuzz_case: FuzzCase, design: str,
 class FuzzFailure:
     """A caught, minimized differential failure.
 
-    ``fast_forward_only`` is True when the same case re-run with the
-    engine's per-cycle kill switch matched the reference — i.e. the
-    divergence is in the event-horizon fast-forward machinery, not in
-    the design model itself.
+    ``fast_forward_only`` is True when the same case re-run on the
+    engine's reference loop matched the reference — i.e. the
+    divergence is in the optimized loop (tick guards, the cached issue
+    profile, or the idle-span jump), not in the design model itself.
     """
 
     seed: int
@@ -358,15 +359,15 @@ def run_fuzz(
                     if not mismatches:
                         continue
                     # Attribute the mismatch before reporting: re-run
-                    # the same case with fast-forward killed.  A clean
-                    # per-cycle run pins the bug on the event-horizon
-                    # machinery rather than the design model.
+                    # the same case on the reference loop.  A clean
+                    # reference run pins the bug on the optimized loop
+                    # rather than the design model.
                     slow_mismatches = compare_case(
                         case, design, reference=references[key],
                         fast_forward=False)
                     fast_forward_only = not slow_mismatches
                     if log is not None:
-                        blame = ("fast-forward machinery"
+                        blame = ("optimized loop"
                                  if fast_forward_only else "design model")
                         log(f"seed {case_seed}: MISMATCH on {design} "
                             f"(num_sms={num_sms}, {blame}); shrinking ...")

@@ -82,36 +82,8 @@ class BankArbiter:
         Denied requests count as conflicts; the caller retries them next
         cycle (requests are regenerated from collector/queue state).
         """
-        # Fast paths: a lone request can't conflict with anything, and
-        # when every request targets a distinct bank they are all
-        # granted as-is — both cases skip the per-bank bucketing and
-        # the per-bank age sorts entirely.
-        if isinstance(reads, list) and isinstance(writes, list):
-            total = len(reads) + len(writes)
-            if total == 0:
-                return ArbitrationResult()
-            if total == 1:
-                request = (reads or writes)[0]
-                self._check(request)
-                if reads:
-                    return ArbitrationResult(granted_reads=[request])
-                return ArbitrationResult(granted_writes=[request])
-            if total <= self.num_banks:
-                banks = {request.bank for request in writes}
-                for request in reads:
-                    banks.add(request.bank)
-                if len(banks) == total:
-                    if not (min(banks) >= 0 and max(banks) < self.num_banks):
-                        for request in writes:
-                            self._check(request)
-                        for request in reads:
-                            self._check(request)
-                    return ArbitrationResult(granted_reads=list(reads),
-                                             granted_writes=list(writes))
-        # Contended path.  The winner per bank is the oldest request,
-        # first-arrived on age ties — min() with a stable scan returns
-        # exactly what the previous sort-then-[0] did, without sorting
-        # the losers.
+        # The winner per bank is the oldest request, first-arrived on
+        # age ties (min() scans stably, so no sort is needed).
         by_bank: Dict[int, tuple] = {}
         for request in writes:
             self._check(request)

@@ -116,12 +116,6 @@ class DecodedOp:
         return f"DecodedOp({self.opcode_name}, sources={self.source_ids})"
 
 
-def decode_op(warp_id: int, inst: Instruction,
-              config: GPUConfig) -> DecodedOp:
-    """Decode one instruction for ``warp_id`` (provider fallback path)."""
-    return DecodedOp(warp_id, inst, config)
-
-
 def decode_warp(warp_id: int, instructions: Sequence[Instruction],
                 config: GPUConfig) -> List[DecodedOp]:
     """Decode a warp's whole trace, indexable by trace position."""

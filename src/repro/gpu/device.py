@@ -314,8 +314,8 @@ def simulate_device(
             per-SM recorders land on ``DeviceResult.recorders``.
             Requires ``jobs=1``: recorders cannot cross processes.
         progress: optional callback receiving one line per finished SM.
-        fast_forward: forwarded to every SM engine; ``False`` ticks
-            each engine cycle-by-cycle (the event-horizon kill switch).
+        fast_forward: forwarded to every SM engine; ``False`` runs
+            each engine's reference loop.
 
     Raises:
         SimulationError: on an invalid configuration, or — after every

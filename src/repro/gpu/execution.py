@@ -73,9 +73,6 @@ class ExecutionUnits:
             used[0] = used[1] = used[2] = 0
             self._any = False
 
-    def _bucket(self, op_class: OpClass) -> int:
-        return _BUCKET_OF[op_class]
-
     def can_dispatch(self, op_class: OpClass) -> bool:
         bucket = _BUCKET_OF[op_class]
         return self._used[bucket] < self._capacity[bucket]

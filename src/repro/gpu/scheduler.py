@@ -75,22 +75,14 @@ class GTOScheduler(WarpSchedulerBase):
     def __init__(self, scheduler_id: int, warp_ids: Sequence[int]):
         super().__init__(scheduler_id, warp_ids)
         self._greedy: int | None = None
-        # The ownership set is fixed, so every possible priority order
-        # (oldest-first, or one greedy warp hoisted) can be cached; the
-        # issue stage calls candidate_order every cycle.
         self._oldest_first = sorted(self.warp_ids)
         self._members = frozenset(self.warp_ids)
-        self._orders: dict = {}
 
     def candidate_order(self) -> List[int]:
         greedy = self._greedy
         if greedy is None or greedy not in self._members:
             return self._oldest_first
-        order = self._orders.get(greedy)
-        if order is None:
-            order = [greedy] + [w for w in self._oldest_first if w != greedy]
-            self._orders[greedy] = order
-        return order
+        return [greedy] + [w for w in self._oldest_first if w != greedy]
 
     def note_issue(self, warp_id: int) -> None:
         self._greedy = warp_id
@@ -169,17 +161,12 @@ class LRRScheduler(WarpSchedulerBase):
         super().__init__(scheduler_id, warp_ids)
         self._pointer = 0
         self._ordered = sorted(self.warp_ids)
-        # The ownership set is fixed, so all rotations can be cached
-        # instead of rebuilt by slicing every cycle.
-        self._rotations = [
-            self._ordered[pivot:] + self._ordered[:pivot]
-            for pivot in range(len(self._ordered))
-        ]
 
     def candidate_order(self) -> List[int]:
-        pivot = self._pointer % len(self._ordered)
+        ordered = self._ordered
+        pivot = self._pointer % len(ordered)
         self._pointer += 1
-        return self._rotations[pivot]
+        return ordered[pivot:] + ordered[:pivot]
 
     def on_idle_span(self, span: int) -> None:
         # candidate_order advances the pointer once per cycle whether

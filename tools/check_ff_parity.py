@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
-"""Fast-forward parity gate: one benchmark, every design, on vs off.
+"""Engine parity gate: one benchmark, every design, fast vs reference loop.
 
 CI runs this in the fuzz-smoke and perf jobs as a cheap end-to-end
-check that the event-horizon loop is an optimization only: for the
-chosen benchmark trace, a run with fast-forward enabled must be
-bit-identical to the per-cycle reference run for every registered
-design — same counters (``fast_forwarded_cycles`` aside, the one
-field that measures the optimization itself), same register image,
-same memory image.
+check that the engine's fast loop is an optimization only.  The fast
+loop skips stage calls the provider contract proves idle, charges
+stable stall cycles from the issue stage's cached profile, and jumps
+provably idle spans; the reference loop (``fast_forward=False``) runs
+every stage and the full issue walk every cycle and never jumps.  For
+the chosen benchmark trace, both loops must be bit-identical for every
+registered design — same counters (``fast_forwarded_cycles`` aside,
+the one field that measures the optimization itself), same register
+image, same memory image — under two schedulers:
 
-Exit status: 0 when every design matches, 1 on any divergence (with
+* GTO, the paper's policy, where the fast loop switches to the cached
+  issue profile after the first fruitless cycle;
+* two-level with an active set of two warps, whose non-empty pending
+  queue keeps the fast loop on the full all-warps issue walk every
+  cycle and forbids idle-span jumps.
+
+Exit status: 0 when every point matches, 1 on any divergence (with
 a per-field diff on stderr).  Usage:
 
     PYTHONPATH=src python tools/check_ff_parity.py [BENCHMARK]
@@ -23,11 +32,19 @@ from __future__ import annotations
 import dataclasses
 import sys
 
+from repro.config import GPUConfig, SchedulerPolicy
 from repro.core.bow_sm import simulate_design
 from repro.core.designs import design_names
 from repro.experiments.runner import QUICK, benchmark_trace, design_spec
 
 WINDOW = 3
+
+#: Scheduler setups the gate covers (see the module docstring).
+SCHEDULERS = {
+    "gto": GPUConfig(),
+    "two-level": GPUConfig(scheduler_policy=SchedulerPolicy.TWO_LEVEL,
+                           two_level_active_warps=2),
+}
 
 
 def comparable(result) -> dict:
@@ -47,39 +64,40 @@ def check(benchmark: str) -> int:
         trace = benchmark_trace(
             benchmark, QUICK, window_size=WINDOW if spec.hinted else None
         )
-        fast = simulate_design(
-            design, trace, window_size=WINDOW,
-            memory_seed=QUICK.memory_seed, fast_forward=True,
-        )
-        slow = simulate_design(
-            design, trace, window_size=WINDOW,
-            memory_seed=QUICK.memory_seed, fast_forward=False,
-        )
-        a, b = comparable(fast), comparable(slow)
-        jumped = fast.counters.fast_forwarded_cycles
-        if a == b:
-            pct = 100.0 * jumped / max(1, fast.counters.cycles)
-            print(
-                f"{benchmark}/{design}: OK "
-                f"({fast.counters.cycles} cycles, "
-                f"{jumped} fast-forwarded, {pct:.0f}%)"
+        for policy, config in SCHEDULERS.items():
+            fast, slow = (
+                simulate_design(
+                    design, trace, window_size=WINDOW, config=config,
+                    memory_seed=QUICK.memory_seed, fast_forward=loop,
+                )
+                for loop in (True, False)
             )
-            continue
-        failures += 1
-        print(f"{benchmark}/{design}: MISMATCH", file=sys.stderr)
-        for section in a:
-            if a[section] == b[section]:
+            label = f"{benchmark}/{design}/{policy}"
+            a, b = comparable(fast), comparable(slow)
+            jumped = fast.counters.fast_forwarded_cycles
+            if a == b:
+                pct = 100.0 * jumped / max(1, fast.counters.cycles)
+                print(
+                    f"{label}: OK ({fast.counters.cycles} cycles, "
+                    f"{jumped} fast-forwarded, {pct:.0f}%)"
+                )
                 continue
-            if section == "counters":
-                for key in a[section]:
-                    if a[section][key] != b[section][key]:
-                        print(
-                            f"  counters.{key}: fast={a[section][key]} "
-                            f"slow={b[section][key]}",
-                            file=sys.stderr,
-                        )
-            else:
-                print(f"  {section} images differ", file=sys.stderr)
+            failures += 1
+            print(f"{label}: MISMATCH", file=sys.stderr)
+            for section in a:
+                if a[section] == b[section]:
+                    continue
+                if section == "counters":
+                    for key in a[section]:
+                        if a[section][key] != b[section][key]:
+                            print(
+                                f"  counters.{key}: "
+                                f"fast={a[section][key]} "
+                                f"ref={b[section][key]}",
+                                file=sys.stderr,
+                            )
+                else:
+                    print(f"  {section} images differ", file=sys.stderr)
     return 1 if failures else 0
 
 
