@@ -8,10 +8,15 @@ instruction): deriving it per cycle through ``Instruction``'s property
 chain (`inst.opcode.op_class`, `Register.id`, ...) is pure hot-loop
 overhead.
 
-:func:`decode_warp` precomputes it into :class:`DecodedOp` records —
-one per trace position — that the pipeline stages and providers index
-directly.  Bank ids are warp-dependent (``bank_of(warp, reg)``), which
-is why decoding is per-warp rather than per-static-instruction.
+:func:`decode_warp` precomputes it into :class:`DecodedOp` records,
+indexable by trace position, that the pipeline stages and providers
+read directly.  A warp's trace repeats its static instructions once per
+loop iteration, and every position of one static instruction shares a
+single record, so a warp holds one record per distinct instruction, not
+one per position.  Bank ids are warp-dependent (``bank_of(warp, reg)``),
+which is why the sharing stops at the warp boundary.  The records live
+as long as the trace that stashes them (:func:`decode_warp_cached`);
+there is no process-global table.
 
 Decoding is a pure read of the instruction; it never changes what the
 engine simulates, only where the facts are looked up.
@@ -19,7 +24,7 @@ engine simulates, only where the facts are looked up.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from ..config import GPUConfig
 from ..isa import Instruction, OpClass, WritebackHint
@@ -28,7 +33,11 @@ from .execution import BUCKET_ALU, BUCKET_MEM, BUCKET_SFU, latency_for
 
 
 class DecodedOp:
-    """Static metadata of one trace position of one warp.
+    """Static metadata of one instruction of one warp.
+
+    Every trace position holding the same instruction object shares one
+    record, so a record carries no per-position state and is never
+    written after construction.
 
     Attributes:
         inst: the decoded :class:`~repro.isa.Instruction`.
@@ -66,6 +75,7 @@ class DecodedOp:
         "imm_pad", "semantic", "latency",
         "guard_id", "guard_negated", "pred_dest_id",
         "hint", "hint_rf_only", "hint_oc_only",
+        "__weakref__",
     )
 
     def __init__(self, warp_id: int, inst: Instruction, config: GPUConfig):
@@ -118,8 +128,19 @@ class DecodedOp:
 
 def decode_warp(warp_id: int, instructions: Sequence[Instruction],
                 config: GPUConfig) -> List[DecodedOp]:
-    """Decode a warp's whole trace, indexable by trace position."""
-    return [DecodedOp(warp_id, inst, config) for inst in instructions]
+    """Decode a warp's whole trace, indexable by trace position.
+
+    Positions holding the same instruction object (the iterations of a
+    loop) share one record; the memo lives only for this call.
+    """
+    memo: Dict[int, DecodedOp] = {}
+    decoded = []
+    for inst in instructions:
+        dec = memo.get(id(inst))
+        if dec is None:
+            dec = memo[id(inst)] = DecodedOp(warp_id, inst, config)
+        decoded.append(dec)
+    return decoded
 
 
 #: Attribute used to stash per-(config, warp) decode results on a

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import GPUConfig
 from ..errors import DeadlockError, SimulationError
-from ..isa import Instruction
 from ..kernels.trace import KernelTrace
 from ..stats.counters import Counters
 from ..stats.trace import EventKind
@@ -61,17 +60,16 @@ class _WarpState:
     stage checks hazards without per-cycle lookups.
     """
 
-    __slots__ = ("warp_id", "trace", "pc", "control_pending", "end",
+    __slots__ = ("warp_id", "pc", "control_pending", "end",
                  "decoded", "sb_pending", "sb_reads", "sb_preds",
                  "sb_pred_reads")
 
-    def __init__(self, warp_id: int, trace: List[Instruction]):
+    def __init__(self, warp_id: int, decoded: List[DecodedOp]):
         self.warp_id = warp_id
-        self.trace = trace
         self.pc = 0
         self.control_pending = False
-        self.end = len(trace)
-        self.decoded: List[DecodedOp] = []
+        self.end = len(decoded)
+        self.decoded = decoded
         self.sb_pending: set = set()
         self.sb_reads: dict = {}
         self.sb_preds: set = set()
@@ -132,13 +130,14 @@ class SMEngine:
         self.scoreboard = Scoreboard(max(1, trace.num_warps))
 
         self.warps = [
-            _WarpState(warp.warp_id, list(warp.instructions)) for warp in trace
+            _WarpState(warp.warp_id,
+                       decode_warp_cached(trace, warp.warp_id,
+                                          warp.instructions, self.config))
+            for warp in trace
         ]
         self.warps.sort(key=lambda w: w.warp_id)
         self._warp_by_id: Dict[int, _WarpState] = {}
         for warp in self.warps:
-            warp.decoded = decode_warp_cached(trace, warp.warp_id,
-                                              warp.trace, self.config)
             (warp.sb_pending, warp.sb_reads, warp.sb_preds,
              warp.sb_pred_reads) = (
                 self.scoreboard.warp_views(warp.warp_id)
@@ -229,11 +228,19 @@ class SMEngine:
         forwarding in hardware); the queue entry models only the bank
         port the write will consume.
         """
+        bank = None
         if entry is not None:
             warp_id = entry.warp_id
-            register_id = entry.inst.dest.id  # type: ignore[union-attr]
+            dec = entry.dec
+            if dec is not None:
+                register_id = dec.rf_dest_id
+                bank = dec.dest_bank
+            else:
+                register_id = entry.inst.dest.id  # type: ignore[union-attr]
         if warp_id is None or register_id is None:
             raise SimulationError("enqueue_rf_write needs a target register")
+        if bank is None:
+            bank = self.regfile.bank_of(warp_id, register_id)
         self.regfile.poke(warp_id, register_id, value)
         state = self.state
         state.write_age += 1
@@ -242,7 +249,7 @@ class SMEngine:
             register_id=register_id,
             value=value,
             age=state.write_age,
-            bank=self.regfile.bank_of(warp_id, register_id),
+            bank=bank,
             entry=entry if release_on_grant else None,
             release_on_grant=release_on_grant,
         )
@@ -250,33 +257,43 @@ class SMEngine:
         state.write_requests.append(queued.request)
 
     def release_scoreboard(self, entry: InflightInstruction) -> None:
-        """Release ``entry``'s destination and retire the instruction."""
-        warp = self.warp_state(entry.warp_id)
+        """Release ``entry``'s destination and retire the instruction.
+
+        The destinations come from the entry's decode record; an entry
+        built by hand without one is decoded here from its instruction.
+        """
+        warp_id = entry.warp_id
+        warp = self.warp_state(warp_id)
+        dec = entry.dec
+        if dec is None:
+            dec = DecodedOp(warp_id, entry.inst, self.config)
         # Releasing shrinks this warp's scoreboard views (and may clear
         # its pending branch), so its cached stall outcome is stale.
-        self.state.issue_dirty.append(entry.warp_id)
-        self.scoreboard.release(entry.warp_id, entry.inst)
-        dec = entry.dec
-        if dec.is_control if dec is not None else entry.inst.is_control:
+        self.state.issue_dirty.append(warp_id)
+        if dec.rf_dest_id is not None:
+            warp.sb_pending.discard(dec.rf_dest_id)
+        if dec.pred_dest_id is not None:
+            warp.sb_preds.discard(dec.pred_dest_id)
+        if dec.is_control:
             warp.control_pending = False
-        self._retire(entry)
+        self._retire(entry, dec)
 
-    def _retire(self, entry: InflightInstruction) -> None:
-        self.state.in_flight -= 1
+    def _retire(self, entry: InflightInstruction, dec: DecodedOp) -> None:
+        state = self.state
+        state.in_flight -= 1
         counters = self.counters
         counters.instructions += 1
         if self.recorder is not None:
             self.recorder.emit(
-                self.state.cycle, EventKind.COMMIT, warp=entry.warp_id,
-                trace_index=entry.trace_index, opcode=entry.inst.opcode.name,
+                state.cycle, EventKind.COMMIT, warp=entry.warp_id,
+                trace_index=entry.trace_index, opcode=dec.opcode_name,
             )
-        dec = entry.dec
-        is_memory = dec.is_memory if dec is not None else entry.inst.is_memory
+        is_memory = dec.is_memory
         if is_memory:
             counters.mem_instructions += 1
         if entry.dispatch_cycle is not None:
             wait = entry.dispatch_cycle - entry.issue_cycle
-            lifetime = self.state.cycle - entry.issue_cycle
+            lifetime = state.cycle - entry.issue_cycle
             counters.oc_wait_cycles += wait
             counters.lifetime_cycles += lifetime
             if is_memory:

@@ -1,5 +1,7 @@
 """Tests for the analysis-only (fast) experiment drivers."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -10,12 +12,15 @@ from repro.experiments.figures import (
     fig8_ocu_occupancy,
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.runner import RunScale
+from repro.experiments.runner import QUICK, RunScale, benchmark_trace
 from repro.experiments.tables import (
     table1_btree,
     table2_configuration,
     table4_overheads,
 )
+from repro.isa import WritebackHint
+from repro.isa.registers import SINK_REGISTER
+from repro.kernels.suites import benchmark_names
 
 TINY = RunScale(num_warps=2, trace_scale=0.15)
 
@@ -92,6 +97,23 @@ class TestFig7:
     def test_transient_share_dominates(self, result):
         _, _, oc_only = result.averages()
         assert oc_only > 0.4
+
+    def test_matches_per_dynamic_instruction_count(self):
+        # The figure counts each static instruction once, weighted by
+        # its repeats; that must equal testing every dynamic one.
+        result = fig7_write_destinations(scale=QUICK)
+        for bench in benchmark_names():
+            trace = benchmark_trace(bench, QUICK, window_size=3)
+            counts = Counter(
+                inst.hint for warp in trace for inst in warp
+                if inst.dest is not None and inst.dest != SINK_REGISTER
+            )
+            total = max(1, sum(counts.values()))
+            assert result.rf_only[bench] == (
+                counts[WritebackHint.RF_ONLY] / total)
+            assert result.both[bench] == counts[WritebackHint.BOTH] / total
+            assert result.oc_only[bench] == (
+                counts[WritebackHint.OC_ONLY] / total)
 
 
 class TestFig8:

@@ -81,6 +81,60 @@ class TestProviderMisuse:
             engine.enqueue_rf_write(None, 0)
 
 
+class _NoInstruction:
+    """Stands in for an entry's instruction; any read of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read Instruction.{name}")
+
+
+class TestRetirePath:
+    PROGRAM = """
+        mov.u32 $r1, 0x5
+        add.u32 $r2, $r1, $r1
+    """
+
+    def _issued(self, engine, entry, dest_id):
+        # Mirror the issue stage's bookkeeping for a hand-placed entry.
+        engine.warp_state(0).sb_pending.add(dest_id)
+        engine.state.in_flight += 1
+
+    def test_decoded_entry_retires_without_reading_instruction(self):
+        engine = SMEngine(single_warp(self.PROGRAM))
+        warp = engine.warp_state(0)
+        dec = warp.decoded[1]
+        entry = InflightInstruction(0, 1, _NoInstruction(), 0, dec=dec)
+        self._issued(engine, entry, dec.rf_dest_id)
+        engine.enqueue_rf_write(entry, 10, release_on_grant=True)
+        queued = engine.state.write_queue[-1]
+        assert queued.register_id == 2
+        assert queued.bank == engine.config.bank_of(0, 2)
+        engine.release_scoreboard(entry)
+        assert 2 not in warp.sb_pending
+        assert engine.counters.instructions == 1
+
+    def test_hand_built_entry_uses_its_instruction(self):
+        engine = SMEngine(single_warp(self.PROGRAM))
+        warp = engine.warp_state(0)
+        inst = parse_program(self.PROGRAM)[1]
+        entry = InflightInstruction(0, 1, inst, 0)
+        self._issued(engine, entry, 2)
+        engine.enqueue_rf_write(entry, 10)
+        queued = engine.state.write_queue[-1]
+        assert queued.register_id == 2
+        assert queued.bank == engine.config.bank_of(0, 2)
+        engine.release_scoreboard(entry)
+        assert 2 not in warp.sb_pending
+        assert entry.dec is None
+        assert engine.counters.instructions == 1
+
+    def test_release_for_unknown_warp_rejected(self):
+        engine = SMEngine(single_warp(self.PROGRAM))
+        entry = InflightInstruction(5, 0, parse_program("nop")[0], 0)
+        with pytest.raises(SimulationError):
+            engine.release_scoreboard(entry)
+
+
 class TestConfigurationInterplay:
     def test_single_collector_still_completes(self):
         config = GPUConfig(num_operand_collectors=1)
