@@ -11,12 +11,12 @@ blocks for the same RF).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import CompilerError
 from ..isa import Instruction
 from ..kernels.cfg import KernelCFG
-from .writeback import classify_cfg, classify_linear_writes
+from .writeback import WriteClassification, classify_cfg, classify_linear_writes
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,18 @@ def _aggregate(classifications, registers) -> AllocationResult:
 def effective_register_demand(
     cfg: KernelCFG,
     window_size: int,
+    classified: Optional[Dict[str, List[WriteClassification]]] = None,
 ) -> AllocationResult:
-    """Measure transient-register savings for a kernel CFG."""
+    """Measure transient-register savings for a kernel CFG.
+
+    ``classified`` is :func:`classify_cfg`'s result for this CFG and
+    window, if the caller already has it.  Hint bits do not change it,
+    so one classification serves before and after :func:`annotate_cfg`.
+    """
     if window_size < 1:
         raise CompilerError(f"window_size must be >= 1, got {window_size}")
-    classified = classify_cfg(cfg, window_size)
+    if classified is None:
+        classified = classify_cfg(cfg, window_size)
     flattened = [item for items in classified.values() for item in items]
     registers = set()
     for block in cfg:

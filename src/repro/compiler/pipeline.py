@@ -56,12 +56,14 @@ def compile_kernel(cfg: KernelCFG, window_size: int) -> CompiledKernel:
     """Run the full BOW-WR compiler pipeline on ``cfg``.
 
     The CFG's block bodies are rewritten in place so traces expanded
-    afterwards carry the hint bits.
+    afterwards carry the hint bits.  Liveness and the classification
+    are computed once: rewriting hints changes no register or predicate,
+    so the hinting and the allocation pass share them.
     """
     liveness = compute_liveness(cfg)
     classifications = classify_cfg(cfg, window_size, liveness)
-    hints = annotate_cfg(cfg, window_size, liveness)
-    allocation = effective_register_demand(cfg, window_size)
+    hints = annotate_cfg(cfg, window_size, liveness, classifications)
+    allocation = effective_register_demand(cfg, window_size, classifications)
     return CompiledKernel(
         cfg=cfg,
         window_size=window_size,

@@ -210,15 +210,19 @@ def annotate_cfg(
     cfg: KernelCFG,
     window_size: int,
     liveness: Optional[LivenessResult] = None,
+    classified: Optional[Dict[str, List[WriteClassification]]] = None,
 ) -> Dict[int, WritebackHint]:
     """Produce the per-instruction hint map and rewrite block bodies.
 
     Every destination-producing instruction is replaced (in place, inside
     the CFG's blocks) by a copy carrying its 2-bit writeback hint; the
     returned map is keyed by instruction ``uid`` so traces expanded from
-    the CFG observe the same hints.
+    the CFG observe the same hints.  ``classified`` is
+    :func:`classify_cfg`'s result for this CFG and window, if the caller
+    already has it.
     """
-    classified = classify_cfg(cfg, window_size, liveness)
+    if classified is None:
+        classified = classify_cfg(cfg, window_size, liveness)
     hints: Dict[int, WritebackHint] = {}
     for block in cfg:
         decisions = {item.index: item.writeback.hint

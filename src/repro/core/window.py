@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..compiler.writeback import (
     READ,
@@ -93,6 +93,25 @@ def window_gaps(
     read_gaps.sort()
     write_gaps.sort()
     return WindowGaps(reads, writes, read_gaps, write_gaps)
+
+
+def stream_window_gaps(
+    streams: Iterable[Sequence[Instruction]],
+) -> List[Tuple[WindowGaps, int]]:
+    """:func:`window_gaps` once per distinct stream, with its multiplicity.
+
+    Warps of one kernel that take the same path replay the same
+    instruction objects, so two streams holding the same objects in the
+    same order have the same gaps.  Streams are keyed by those
+    identities; the streams are held for the call, so no identity is
+    reused while it is a key.  Weighting each distinct stream's counts
+    by its multiplicity gives exactly the per-stream sums.
+    """
+    distinct: Dict[Tuple[int, ...], list] = {}
+    for stream in streams:
+        entry = distinct.setdefault(tuple(map(id, stream)), [stream, 0])
+        entry[1] += 1
+    return [(window_gaps(stream), count) for stream, count in distinct.values()]
 
 
 def read_bypass_counts(

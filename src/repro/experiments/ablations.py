@@ -28,7 +28,7 @@ from ..config import (
     WritebackPolicy,
 )
 from ..core.bow_sm import simulate_bow
-from ..core.window import window_gaps
+from ..core.window import stream_window_gaps
 from ..kernels.suites import benchmark_names, get_profile
 from ..kernels.synthetic import generate_kernel
 from ..stats.report import format_percent, format_table
@@ -216,11 +216,11 @@ def window_sweep(
     """Extend the Figure 3/10 sweep beyond IW=7 (the paper's future work)."""
     hits = dict.fromkeys(windows, 0)
     total = 0
-    for warp in benchmark_trace(benchmark, scale):
-        gaps = window_gaps(warp.instructions)
-        total += gaps.reads
+    streams = (warp.instructions for warp in benchmark_trace(benchmark, scale))
+    for gaps, count in stream_window_gaps(streams):
+        total += gaps.reads * count
         for window_size in windows:
-            hits[window_size] += gaps.read_hits(window_size)
+            hits[window_size] += gaps.read_hits(window_size) * count
     grid = run_grid((benchmark,), ("baseline", "bow"), windows, scale=scale)
     base = grid.get(benchmark, "baseline")
     points = []

@@ -17,6 +17,14 @@ Keys are content hashes over everything that determines a run's output:
 * the default machine configuration (``GPUConfig()`` field by field);
 * :data:`CACHE_SCHEMA_VERSION`.
 
+The key is the sha256 of one canonical JSON text,
+``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` over
+those parts.  :func:`run_key` builds that text piecewise without
+changing a byte: the two large parts, the profile spec and the
+``GPUConfig``, are frozen values, so each distinct one is encoded once
+per process and its text reused; the small parts are formatted on every
+call.  Existing cache directories therefore stay warm.
+
 Values are :class:`~repro.gpu.sm.SimulationResult` payloads in the
 JSON format of :mod:`repro.kernels.serialize`.  Entries are written
 atomically (temp file + rename) so concurrent sweep workers and CI
@@ -44,7 +52,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..config import GPUConfig
 from ..errors import KernelError
@@ -73,8 +81,15 @@ class CacheDegradedWarning(RuntimeWarning):
     """Emitted once when a :class:`RunCache` self-disables."""
 
 
+#: Types :func:`_jsonable` passes through unchanged (exact types, so an
+#: ``IntEnum`` still reaches the enum branch).
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
 def _jsonable(value):
     """Canonical JSON-compatible form of config/spec values."""
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             item.name: _jsonable(getattr(value, item.name))
@@ -89,6 +104,38 @@ def _jsonable(value):
     return value
 
 
+#: The canonical encoder: sorted keys, no whitespace.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_DEFAULT_CONFIG = GPUConfig()
+
+#: Canonical text of each distinct frozen key part (profile spec or
+#: machine config) seen so far, by value and by identity.  An identity
+#: entry holds its object, so its id cannot be reused while it lives,
+#: and there is one per distinct value: the tables grow with the
+#: distinct specs and configs, never with scales or points.  A race
+#: between threads at worst encodes one value twice.
+_TEXT_BY_VALUE: Dict[object, str] = {}
+_TEXT_BY_ID: Dict[int, Tuple[object, str]] = {}
+
+
+def _frozen_text(value) -> str:
+    """Canonical JSON of a frozen key part, encoded once per value.
+
+    The identity lookup neither hashes nor walks ``value``; an equal
+    but distinct object costs one hash and no encoding.
+    """
+    entry = _TEXT_BY_ID.get(id(value))
+    if entry is not None and entry[0] is value:
+        return entry[1]
+    text = _TEXT_BY_VALUE.get(value)
+    if text is None:
+        text = _encode(_jsonable(value))
+        _TEXT_BY_VALUE[value] = text
+        _TEXT_BY_ID[id(value)] = (value, text)
+    return text
+
+
 def run_key(
     benchmark: str,
     design: str,
@@ -99,19 +146,22 @@ def run_key(
     """Content hash identifying one run of the experiment grid.
 
     ``window_size`` should be the *effective* window (0 for designs
-    that ignore it) so equivalent runs share an entry.
+    that ignore it) so equivalent runs share an entry.  The hashed text
+    is byte for byte ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` of the payload ``{"schema", "benchmark",
+    "profile", "design", "window", "scale", "gpu"}``, its keys written
+    here in sorted order.
     """
     profile = get_profile(benchmark)
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "benchmark": profile.name,
-        "profile": _jsonable(profile.spec),
-        "design": design,
-        "window": window_size,
-        "scale": _jsonable(scale),
-        "gpu": _jsonable(config or GPUConfig()),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = (
+        '{"benchmark":' + _encode(profile.name)
+        + ',"design":' + _encode(design)
+        + ',"gpu":' + _frozen_text(config or _DEFAULT_CONFIG)
+        + ',"profile":' + _frozen_text(profile.spec)
+        + ',"scale":' + _encode(_jsonable(scale))
+        + ',"schema":' + _encode(CACHE_SCHEMA_VERSION)
+        + ',"window":' + _encode(window_size) + "}"
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

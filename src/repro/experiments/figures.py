@@ -21,7 +21,7 @@ from ..core.occupancy import (
 )
 from ..core.window import (
     read_bypass_counts,
-    window_gaps,
+    stream_window_gaps,
     write_bypass_opportunity_counts,
 )
 from ..energy.model import EnergyModel
@@ -38,7 +38,8 @@ _IPC_WINDOWS = (2, 3, 4)
 
 #: The per-window entry points ``perfbench/layers.py`` patches on this
 #: module to time ``core.window``; Figure 3 itself runs one
-#: :func:`window_gaps` pass per warp instead.
+#: :func:`~repro.core.window.window_gaps` pass per distinct warp stream
+#: instead.
 _PROBED_WINDOW_ANALYSES = (read_bypass_counts, write_bypass_opportunity_counts)
 
 
@@ -140,7 +141,8 @@ def fig3_bypass_opportunity(
 ) -> Fig3Result:
     """Reproduce Figure 3 by sliding-window analysis of the suite traces.
 
-    One reuse-gap pass per warp answers every window in ``windows``.
+    One reuse-gap pass per distinct warp stream answers every window in
+    ``windows``; each stream counts once per warp that runs it.
     """
     reads: Dict[str, Dict[int, float]] = {}
     writes: Dict[str, Dict[int, float]] = {}
@@ -148,13 +150,13 @@ def fig3_bypass_opportunity(
         read_hits = dict.fromkeys(windows, 0)
         write_hits = dict.fromkeys(windows, 0)
         read_total = write_total = 0
-        for warp in benchmark_trace(bench, scale):
-            gaps = window_gaps(warp.instructions)
-            read_total += gaps.reads
-            write_total += gaps.writes
+        streams = (warp.instructions for warp in benchmark_trace(bench, scale))
+        for gaps, count in stream_window_gaps(streams):
+            read_total += gaps.reads * count
+            write_total += gaps.writes * count
             for iw in windows:
-                read_hits[iw] += gaps.read_hits(iw)
-                write_hits[iw] += gaps.write_hits(iw)
+                read_hits[iw] += gaps.read_hits(iw) * count
+                write_hits[iw] += gaps.write_hits(iw) * count
         reads[bench] = {iw: read_hits[iw] / max(1, read_total)
                         for iw in windows}
         writes[bench] = {iw: write_hits[iw] / max(1, write_total)

@@ -423,8 +423,10 @@ def run_grid(
                 f"{failure.error_type}: {failure.message})"
             )
 
-    # Layer 1 + 2: memo, then disk.
+    # Layer 1 + 2: memo, then disk.  A disk miss keeps its key for the
+    # store after simulation.
     pending: List[GridPoint] = []
+    digests: Dict[GridPoint, str] = {}
     for point in points:
         key = (point.benchmark.upper(), point.design, point.window)
         memoized = runner.memo_lookup(point.benchmark, point.design,
@@ -435,8 +437,9 @@ def run_grid(
             continue
         if disk is not None:
             fetch_started = time.perf_counter()
-            cached = disk.get(run_key(point.benchmark, point.design,
-                                      point.window, scale))
+            digest = run_key(point.benchmark, point.design, point.window,
+                             scale)
+            cached = disk.get(digest)
             if cached is not None:
                 result.results[key] = cached
                 runner.memo_store(point.benchmark, point.design,
@@ -444,6 +447,7 @@ def run_grid(
                 note(RunRecord(point, "cache",
                                time.perf_counter() - fetch_started))
                 continue
+            digests[point] = digest
         pending.append(point)
 
     # Layer 3: simulate what remains.
@@ -454,8 +458,7 @@ def run_grid(
         runner.memo_store(point.benchmark, point.design, point.window,
                           scale, run)
         if disk is not None:
-            disk.put(run_key(point.benchmark, point.design, point.window,
-                             scale), run)
+            disk.put(digests[point], run)
         note(RunRecord(point, "sim", seconds, attempts))
 
     def fail(point: GridPoint, error: BaseException, attempts: int,

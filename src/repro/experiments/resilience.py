@@ -238,10 +238,13 @@ def _dead_worker_pids(pool: ProcessPoolExecutor):
     After a ``BrokenProcessPool`` the executor SIGTERMs its surviving
     workers, so exit codes separate the culprit (a fault's exit code, a
     kernel OOM-kill's ``-SIGKILL``) from innocents cleaned up with
-    ``-SIGTERM``.  Inspects the executor's private process table —
-    returns ``None`` (attribution unavailable) if the internals ever
-    change shape, and the caller falls back to charging every started
-    item.
+    ``-SIGTERM``.  Only a definite abnormal exit code blames a worker:
+    one still running after the join (the executor was slow to
+    terminate it) is as likely an innocent survivor as the culprit.
+    Inspects the executor's private process table — returns ``None``
+    (attribution unavailable) if the internals ever change shape or no
+    worker has an abnormal exit code, and the caller falls back to
+    charging every started item.
     """
     try:
         processes = dict(pool._processes)
@@ -256,7 +259,7 @@ def _dead_worker_pids(pool: ProcessPoolExecutor):
             code = process.exitcode
         except (OSError, ValueError, AssertionError):
             code = None
-        if code is None or code not in (0, -signal.SIGTERM):
+        if code is not None and code not in (0, -signal.SIGTERM):
             culprits.add(pid)
     return culprits or None
 
@@ -399,20 +402,35 @@ def _fan_out_pool(items, call, jobs, policy, finish, fail, label,
             if pool is None and ready:
                 pool = open_pool(len(ready))
             waiting = []
+            refused = False
             for key, not_before in ready:
-                if not_before <= now:
-                    attempts[key] += 1
+                if not_before <= now and not refused:
                     marker_serial += 1
                     marker = os.path.join(marker_dir,
                                           f"started-{marker_serial}")
-                    future = pool.submit(_marked_call, call,
-                                         args_by_key[key], marker)
+                    try:
+                        future = pool.submit(_marked_call, call,
+                                             args_by_key[key], marker)
+                    except BrokenProcessPool:
+                        # A worker died since the last wait (an item
+                        # submitted moments ago can kill its worker at
+                        # once).  This item never ran: it waits for the
+                        # rebuilt pool, and the in-flight futures report
+                        # the break below.
+                        refused = True
+                        waiting.append((key, not_before))
+                        continue
+                    attempts[key] += 1
                     futures[future] = key
                     started_at[future] = time.monotonic()
                     markers[future] = marker
                 else:
                     waiting.append((key, not_before))
             ready = waiting
+            if refused and not futures:
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = None
+                continue
 
             if not futures:
                 # Everything live is waiting out a backoff delay.

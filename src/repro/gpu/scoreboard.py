@@ -5,6 +5,10 @@ instructions are never simultaneously resident in an operand collector
 (SS IV-A): an instruction only issues once every register it reads or
 writes has no pending producer.  This is the standard GPU in-order-issue
 scoreboard.
+
+This module holds the per-warp hazard state only.  The engine reads and
+updates it through :meth:`Scoreboard.warp_views`; the hazard check
+itself is ``IssueStage._derive_outcome`` in :mod:`repro.gpu.stages`.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from ..errors import SimulationError
-from ..isa import Instruction
-from ..isa.registers import SINK_REGISTER
 
 
 class Scoreboard:
@@ -64,12 +66,10 @@ class Scoreboard:
         """Direct references to ``warp_id``'s hazard state.
 
         Returns ``(pending_dests, pending_reads, pending_preds,
-        pending_pred_reads)`` — the *live* set/dict objects this
-        scoreboard mutates, so the engine's issue stage can check and
-        update hazards without per-cycle method dispatch.  The
-        scoreboard's own API (`reserve`, `release`, ...) stays
-        consistent with any change made through a view, because they
-        are the same objects.
+        pending_pred_reads)`` — the *live* set/dict objects the engine
+        reserves at issue, releases at dispatch (reader marks) and at
+        retire (destinations), and checks in
+        ``IssueStage._derive_outcome``, the one hazard check.
         """
         return (
             self._warp(warp_id),
@@ -77,82 +77,3 @@ class Scoreboard:
             self._warp_preds(warp_id),
             self._warp_pred_reads(warp_id),
         )
-
-    def can_issue(self, warp_id: int, inst: Instruction) -> bool:
-        """True when ``inst`` has no RAW, WAW or WAR hazard in ``warp_id``."""
-        pending = self._warp(warp_id)
-        for src in inst.sources:
-            if src.id in pending:
-                return False  # RAW
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            if inst.dest.id in pending:
-                return False  # WAW
-            if self._warp_reads(warp_id).get(inst.dest.id):
-                return False  # WAR: an earlier reader has not collected yet
-        pending_preds = self._warp_preds(warp_id)
-        if inst.predicate is not None and inst.predicate.id in pending_preds:
-            return False  # guard not resolved yet
-        if inst.pred_dest is not None:
-            if inst.pred_dest.id in pending_preds:
-                return False  # predicate WAW
-            if self._warp_pred_reads(warp_id).get(inst.pred_dest.id):
-                return False  # predicate WAR: an earlier guard reader
-                #               has not sampled its guard yet
-        return True
-
-    def reserve(self, warp_id: int, inst: Instruction) -> None:
-        """Mark ``inst``'s destinations pending (called at issue)."""
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            pending = self._warp(warp_id)
-            if inst.dest.id in pending:
-                raise SimulationError(
-                    f"warp {warp_id}: double reservation of $r{inst.dest.id}"
-                )
-            pending.add(inst.dest.id)
-        if inst.pred_dest is not None:
-            self._warp_preds(warp_id).add(inst.pred_dest.id)
-
-    def release(self, warp_id: int, inst: Instruction) -> None:
-        """Clear ``inst``'s destinations (called when values are visible)."""
-        if inst.dest is not None and inst.dest != SINK_REGISTER:
-            self._warp(warp_id).discard(inst.dest.id)
-        if inst.pred_dest is not None:
-            self._warp_preds(warp_id).discard(inst.pred_dest.id)
-
-    def reserve_reads(self, warp_id: int, inst: Instruction) -> None:
-        """Mark ``inst``'s sources as having an in-flight reader (at issue).
-
-        A guarding predicate is a source too: it is sampled at dispatch,
-        so a younger predicate writer must not overtake it.
-        """
-        reads = self._warp_reads(warp_id)
-        for src in inst.sources:
-            reads[src.id] = reads.get(src.id, 0) + 1
-        if inst.predicate is not None:
-            pred_reads = self._warp_pred_reads(warp_id)
-            pred_reads[inst.predicate.id] = (
-                pred_reads.get(inst.predicate.id, 0) + 1)
-
-    def release_reads(self, warp_id: int, inst: Instruction) -> None:
-        """Drop the reader marks (called once operands are collected)."""
-        reads = self._warp_reads(warp_id)
-        for src in inst.sources:
-            remaining = reads.get(src.id, 0) - 1
-            if remaining > 0:
-                reads[src.id] = remaining
-            else:
-                reads.pop(src.id, None)
-        if inst.predicate is not None:
-            pred_reads = self._warp_pred_reads(warp_id)
-            remaining = pred_reads.get(inst.predicate.id, 0) - 1
-            if remaining > 0:
-                pred_reads[inst.predicate.id] = remaining
-            else:
-                pred_reads.pop(inst.predicate.id, None)
-
-    def pending_count(self, warp_id: int) -> int:
-        return len(self._warp(warp_id))
-
-    def is_idle(self) -> bool:
-        """No pending writes anywhere (used by drain/termination checks)."""
-        return all(not pending for pending in self._pending.values())

@@ -1,6 +1,10 @@
 """Tests for the persistent on-disk run cache."""
 
+import dataclasses
+import enum
 import errno
+import hashlib
+import json
 import warnings
 
 import pytest
@@ -62,6 +66,95 @@ class TestRunKey:
         assert (run_key("BFS", "bow", 3, TINY,
                         config=GPUConfig(mem_global_latency=400))
                 != run_key("BFS", "bow", 3, TINY))
+
+
+def _oracle_jsonable(value):
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {item.name: _oracle_jsonable(getattr(value, item.name))
+                for item in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_oracle_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _oracle_jsonable(val)
+                for key, val in sorted(value.items())}
+    return value
+
+
+def _oracle_key(benchmark, design, window_size, scale, config=None):
+    """The original ``run_key`` formula: one ``json.dumps`` of the whole
+    payload.  Keys must stay byte-identical to it, or every existing
+    cache directory goes cold."""
+    from repro.config import GPUConfig
+    from repro.kernels.suites import get_profile
+
+    profile = get_profile(benchmark)
+    payload = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "benchmark": profile.name,
+        "profile": _oracle_jsonable(profile.spec),
+        "design": design,
+        "window": window_size,
+        "scale": _oracle_jsonable(scale),
+        "gpu": _oracle_jsonable(config or GPUConfig()),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestRunKeyBytes:
+    """``run_key`` encodes each frozen part once and reuses its text;
+    the digests must not change."""
+
+    def test_literal_pin(self):
+        from repro.experiments.runner import QUICK
+
+        assert run_key("SAD", "bow", 3, QUICK) == (
+            "6ac0d08c5867927dfa52f0826325fe3958a0b01c71f62c1c10a386412e7348e4"
+        )
+
+    def test_matches_whole_payload_formula(self):
+        from repro.config import GPUConfig, SchedulerPolicy
+        from repro.core.designs import design_names
+        from repro.experiments.runner import DEVICE_QUICK, FULL, QUICK
+        from repro.kernels.suites import benchmark_names
+
+        scales = [QUICK, FULL, DEVICE_QUICK] + [
+            RunScale(4, 0.1, seed) for seed in (0, 7, 2027, 123456)
+        ]
+        checked = 0
+        for bench in benchmark_names():
+            for design in design_names():
+                for window in (0, 1, 2, 3, 4, 7):
+                    for scale in scales:
+                        assert (run_key(bench, design, window, scale)
+                                == _oracle_key(bench, design, window, scale))
+                        checked += 1
+        assert checked == 15 * len(design_names()) * 6 * len(scales)
+        custom = GPUConfig(mem_global_latency=400, crossbar_width=2,
+                           scheduler_policy=SchedulerPolicy.LRR,
+                           mem_l1_hit_rate=0.25)
+        for bench in ("SAD", "bfs"):
+            assert (run_key(bench, "bow-wr", 3, TINY, config=custom)
+                    == _oracle_key(bench, "bow-wr", 3, TINY, config=custom))
+
+    def test_memo_grows_with_values_not_points(self):
+        from repro.config import GPUConfig
+        from repro.experiments import cache as cache_module
+
+        run_key("SAD", "bow", 3, TINY)
+        run_key("SAD", "bow", 3, TINY, config=GPUConfig(alu_latency=5))
+        sizes = (len(cache_module._TEXT_BY_VALUE),
+                 len(cache_module._TEXT_BY_ID))
+        keys = {run_key("SAD", "bow", 3, RunScale(4, 0.1, seed))
+                for seed in range(1000)}
+        assert len(keys) == 1000
+        # A fresh but equal config is found by value, not re-encoded.
+        run_key("SAD", "bow", 3, TINY, config=GPUConfig(alu_latency=5))
+        run_key("SAD", "bow", 3, TINY, config=GPUConfig())
+        assert (len(cache_module._TEXT_BY_VALUE),
+                len(cache_module._TEXT_BY_ID)) == sizes
 
 
 class TestRunCache:

@@ -7,13 +7,14 @@ exactly: the fractions it reports are those integers divided, so any
 drift in the window rules shows here as an inequality, not a rounding.
 """
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.window import window_gaps
-from repro.experiments.figures import fig3_bypass_opportunity
+from repro.core.window import stream_window_gaps, window_gaps
+from repro.experiments.figures import Fig3Result, fig3_bypass_opportunity
 from repro.experiments.runner import QUICK, benchmark_trace
 from repro.kernels.suites import benchmark_names
 
@@ -55,3 +56,42 @@ def test_gap_pass_reproduces_golden_counts(bench):
     for iw in WINDOWS:
         pinned = GOLDEN["benchmarks"][bench][str(iw)]
         assert totals[iw] == pinned["reads"] + pinned["writes"]
+
+
+def _per_warp_fig3(windows):
+    """Figure 3 from one gap pass per warp: the reference the shared
+    per-distinct-stream pass must reproduce exactly."""
+    reads, writes = {}, {}
+    for bench in benchmark_names():
+        read_hits = dict.fromkeys(windows, 0)
+        write_hits = dict.fromkeys(windows, 0)
+        read_total = write_total = 0
+        for warp in benchmark_trace(bench, QUICK):
+            gaps = window_gaps(warp.instructions)
+            read_total += gaps.reads
+            write_total += gaps.writes
+            for iw in windows:
+                read_hits[iw] += gaps.read_hits(iw)
+                write_hits[iw] += gaps.write_hits(iw)
+        reads[bench] = {iw: read_hits[iw] / max(1, read_total)
+                        for iw in windows}
+        writes[bench] = {iw: write_hits[iw] / max(1, write_total)
+                         for iw in windows}
+    return Fig3Result(windows=windows, reads=reads, writes=writes)
+
+
+def test_distinct_streams_equal_per_warp_loop():
+    assert fig3_bypass_opportunity() == _per_warp_fig3((2, 3, 4, 5, 6, 7))
+    assert (fig3_bypass_opportunity(windows=(1, 9, 12))
+            == _per_warp_fig3((1, 9, 12)))
+
+
+def test_streams_are_shared_and_weighted():
+    warps = benchmark_trace("SAD", QUICK).warps
+    weighted = stream_window_gaps(warp.instructions for warp in warps)
+    assert sum(count for _, count in weighted) == len(warps)
+    assert len(weighted) < len(warps)
+    # Equal but distinct instruction objects are different streams.
+    copies = [list(map(copy.copy, warps[0].instructions)),
+              warps[0].instructions, list(warps[0].instructions)]
+    assert [count for _, count in stream_window_gaps(copies)] == [1, 2]

@@ -159,6 +159,24 @@ class TestWarmCache:
                  cache=cache)
         assert cache.entry_count() == 6
 
+    def test_cold_point_derives_its_key_once(self, tmp_path, monkeypatch):
+        from repro.experiments import grid as grid_module
+
+        keys = []
+        original = grid_module.run_key
+
+        def counted(*args, **kwargs):
+            keys.append(original(*args, **kwargs))
+            return keys[-1]
+
+        monkeypatch.setattr(grid_module, "run_key", counted)
+        cache = RunCache(tmp_path / "runs")
+        run_grid(("BFS",), ("baseline", "bow"), (3,), scale=TINY,
+                 cache=cache)
+        # One key per point serves both the miss and the store.
+        assert len(keys) == 2
+        assert all(key in cache for key in keys)
+
     def test_runner_default_cache_is_used(self, tmp_path):
         set_cache(RunCache(tmp_path / "runs"))
         run_grid(("BFS",), ("baseline",), (3,), scale=TINY)

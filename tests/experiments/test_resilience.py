@@ -6,7 +6,9 @@ fault injector: crashed workers, transient I/O errors, hangs with
 per-point timeouts, deadlocks, and strict-vs-keep-going semantics.
 """
 
+import signal
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -17,6 +19,7 @@ from repro.errors import (
     SweepPointError,
     SweepTimeoutError,
 )
+from repro.experiments import resilience
 from repro.experiments.cache import RunCache
 from repro.experiments.grid import run_grid
 from repro.experiments.resilience import (
@@ -85,6 +88,96 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ExperimentError):
             RetryPolicy(timeout=0.0)
+
+
+class _FakeProcess:
+    """A pool worker whose exit code is fixed (``None``: still running)."""
+
+    def __init__(self, exitcode):
+        self.exitcode = exitcode
+        self.joined = False
+
+    def join(self, timeout=None):
+        self.joined = True
+
+
+class _FakePool:
+    def __init__(self, codes):
+        self._processes = {pid: _FakeProcess(code)
+                           for pid, code in codes.items()}
+
+
+class TestCrashBlame:
+    """``_dead_worker_pids`` blames only a definite abnormal exit."""
+
+    def test_killed_worker_blamed_running_sibling_spared(self):
+        pool = _FakePool({101: -signal.SIGKILL, 102: None})
+        assert resilience._dead_worker_pids(pool) == {101}
+        assert all(proc.joined for proc in pool._processes.values())
+
+    def test_no_definite_culprit_is_unknown(self):
+        pool = _FakePool({101: None, 102: -signal.SIGTERM, 103: None})
+        assert resilience._dead_worker_pids(pool) is None
+
+    def test_all_clean_is_unknown(self):
+        pool = _FakePool({101: 0, 102: -signal.SIGTERM})
+        assert resilience._dead_worker_pids(pool) is None
+
+    def test_fault_exit_code_blamed(self):
+        pool = _FakePool({101: 0, 102: 3, 103: -signal.SIGTERM})
+        assert resilience._dead_worker_pids(pool) == {102}
+
+
+def _timed_double(value):
+    return 0.0, value * 2
+
+
+class _PoolDyingAtSecondSubmit:
+    """Stands in for ``ProcessPoolExecutor``: calls run inline, but the
+    first pool breaks between its first and second submission, as when
+    a just-submitted item kills its worker at once."""
+
+    opened = 0
+
+    def __init__(self, max_workers, **kwargs):
+        type(self).opened += 1
+        self.dies = type(self).opened == 1
+        self.futures = []
+        self._processes = {}
+
+    def submit(self, fn, *args):
+        if self.dies and self.futures:
+            for future in self.futures:
+                future.set_exception(BrokenProcessPool("worker died"))
+            raise BrokenProcessPool("pool is not usable anymore")
+        future = Future()
+        if not self.dies:
+            future.set_result(fn(*args))
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestSubmitToBrokenPool:
+    def test_refused_items_wait_for_the_rebuilt_pool(self, monkeypatch):
+        monkeypatch.setattr(resilience, "ProcessPoolExecutor",
+                            _PoolDyingAtSecondSubmit)
+        monkeypatch.setattr(_PoolDyingAtSecondSubmit, "opened", 0)
+        finished = {}
+        resilience.fan_out(
+            [(key, key) for key in range(3)], _timed_double, jobs=2,
+            policy=FAST,
+            finish=lambda key, seconds, result, attempts: finished.update(
+                {key: (result, attempts)}),
+            fail=lambda *failure: pytest.fail(f"unexpected {failure}"),
+            label=str,
+        )
+        # The item in flight at the break never started (no marker), so
+        # no item is charged for the dead pool.
+        assert finished == {0: (0, 1), 1: (2, 1), 2: (4, 1)}
+        assert _PoolDyingAtSecondSubmit.opened == 2
 
 
 class TestClassification:

@@ -55,11 +55,12 @@ class TestPredicateWarHazard:
         assert compare_case(case, design) == []
 
     def test_scoreboard_blocks_predicate_war(self):
-        from repro.gpu.scoreboard import Scoreboard
+        from repro.gpu.sm import SMEngine
         from repro.isa import Instruction, Predicate, Register
         from repro.isa.opcodes import opcode_by_name
+        from repro.kernels.trace import KernelTrace, WarpTrace
+        from repro.stats.trace import EventKind, TraceRecorder
 
-        sb = Scoreboard(1)
         reader = Instruction(
             opcode=opcode_by_name("mad"),
             dest=Register(2),
@@ -72,13 +73,27 @@ class TestPredicateWarHazard:
             sources=(Register(30), Register(15)),
             pred_dest=Predicate(6),
         )
-        sb.reserve(0, reader)
-        sb.reserve_reads(0, reader)
+        recorder = TraceRecorder()
+        engine = SMEngine(
+            KernelTrace(name="pred-war", warps=[
+                WarpTrace(warp_id=0, instructions=[reader, writer])]),
+            recorder=recorder,
+        )
+        issue = engine.stages[3]
+        issue.run()
+        warp = engine.warp_state(0)
         # The younger predicate writer must stall until the guarded
         # reader has sampled p6 at dispatch.
-        assert not sb.can_issue(0, writer)
-        sb.release_reads(0, reader)
-        assert sb.can_issue(0, writer)
+        assert warp.pc == 1
+        assert issue._derive_outcome(warp, engine.provider.can_accept) == (
+            0, "scoreboard", 1, "set.ne")
+        engine.run()
+        first = {}
+        for event in recorder.events:
+            first.setdefault((event.kind, event.trace_index), event.cycle)
+        assert (first[EventKind.ISSUE, 1]
+                >= first[EventKind.DISPATCH, 0]
+                > first[EventKind.ISSUE, 0])
 
 
 class TestPredicatedWriteIsNotAKill:
