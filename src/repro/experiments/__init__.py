@@ -2,10 +2,10 @@
 
 Each driver returns a small result object with the series the paper
 plots plus a ``format()`` text rendering; the benchmark harness under
-``benchmarks/`` and the examples call these.  Timing runs are cached per
-process (see :mod:`repro.experiments.runner`), so drivers that share
-runs — Figures 10, 12 and 13 all need the same baseline — pay for them
-once.  The drivers route their grids through
+``benchmarks/`` and the examples call these.  Timing runs are kept in
+one run store per process (see :mod:`repro.experiments.runner`), so
+drivers that share runs — Figures 10, 12 and 13 all need the same
+baseline — pay for them once.  The drivers route their grids through
 :func:`~repro.experiments.grid.run_grid`, which adds parallel fan-out
 (``jobs=N``), a persistent on-disk run cache
 (:class:`~repro.experiments.cache.RunCache`) shared across processes,
@@ -14,12 +14,7 @@ failing points are retried, then recorded on ``GridResult.failures``
 instead of killing the sweep.
 """
 
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    CacheDegradedWarning,
-    RunCache,
-    run_key,
-)
+from .cache import MODEL_FINGERPRINT, CacheDegradedWarning, RunCache, run_key
 from .figures import (
     fig10_device_ipc,
     fig10_ipc_improvement,
@@ -70,7 +65,7 @@ __all__ = [
     "get_cache",
     "set_cache",
     "simulations_run",
-    "CACHE_SCHEMA_VERSION",
+    "MODEL_FINGERPRINT",
     "CacheDegradedWarning",
     "RunCache",
     "run_key",

@@ -1,11 +1,12 @@
 """Content-addressed, on-disk cache of simulation runs.
 
 Every headline artifact (Figures 10-13, the scorecard, the ablations)
-is a grid of ``benchmark x design x IW`` timing runs.  The in-process
-memo in :mod:`repro.experiments.runner` already shares runs *within* a
-process; this cache shares them *across* processes and CI jobs, so a
-re-run of the FULL grid after an unrelated change costs file reads, not
-hours of simulation.
+is a grid of ``benchmark x design x IW`` timing runs.  The in-memory
+run store in :mod:`repro.experiments.runner` shares runs *within* a
+process; this cache sits behind it and shares them *across* processes
+and CI jobs, so a re-run of the FULL grid after an unrelated change
+costs file reads, not hours of simulation.  Both are keyed by
+:func:`run_key`.
 
 Keys are content hashes over everything that determines a run's output:
 
@@ -15,7 +16,7 @@ Keys are content hashes over everything that determines a run's output:
   designs that ignore it);
 * the :class:`~repro.experiments.runner.RunScale`;
 * the default machine configuration (``GPUConfig()`` field by field);
-* :data:`CACHE_SCHEMA_VERSION`.
+* :data:`MODEL_FINGERPRINT`.
 
 The key is the sha256 of one canonical JSON text,
 ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` over
@@ -30,9 +31,10 @@ JSON format of :mod:`repro.kernels.serialize`.  Entries are written
 atomically (temp file + rename) so concurrent sweep workers and CI
 jobs can share one cache directory.
 
-Bump :data:`CACHE_SCHEMA_VERSION` whenever simulator *behaviour*
-changes in a way the key cannot see (e.g. a timing-model fix): stale
-entries then miss instead of silently serving old numbers.
+Simulator *behaviour* the key cannot see (e.g. a timing-model fix)
+fails the golden points; regenerating them changes
+:data:`MODEL_FINGERPRINT`, so stale entries miss instead of silently
+serving old numbers.
 
 The cache is an accelerator, never a point of failure: ``get`` and
 ``put`` swallow OS-level errors (a full disk, a permission change
@@ -64,9 +66,11 @@ if TYPE_CHECKING:
     from ..gpu.sm import SimulationResult
     from .runner import RunScale
 
-#: Bump when simulator behaviour changes without a key-visible config
-#: change; see the module docstring for the policy.
-CACHE_SCHEMA_VERSION = 1
+#: The sha256 of the canonical JSON (sorted keys, no whitespace) of the
+#: parsed ``tests/data/engine_golden.json``; a test recomputes it.
+MODEL_FINGERPRINT = (
+    "0b5deab853424487b89baf893e2a485c14301d24d86e8fe702a72f6a05bb114b"
+)
 
 #: Environment variable naming the default cache directory.  Unset
 #: means no on-disk caching unless a cache is configured explicitly.
@@ -159,7 +163,7 @@ def run_key(
         + ',"gpu":' + _frozen_text(config or _DEFAULT_CONFIG)
         + ',"profile":' + _frozen_text(profile.spec)
         + ',"scale":' + _encode(_jsonable(scale))
-        + ',"schema":' + _encode(CACHE_SCHEMA_VERSION)
+        + ',"schema":' + _encode(MODEL_FINGERPRINT)
         + ',"window":' + _encode(window_size) + "}"
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -184,9 +188,9 @@ def cache_from_env() -> Optional["RunCache"]:
 class RunCache:
     """A directory of serialized simulation results, addressed by key.
 
-    Layout: ``<root>/v<schema>/<key[:2]>/<key>.json`` — the two-level
-    fan-out keeps directories small on FULL-grid sweeps, and the
-    schema-versioned root makes version bumps a clean miss.
+    Layout: ``<root>/<MODEL_FINGERPRINT>/<key[:2]>/<key>.json`` — the
+    two-level fan-out keeps directories small on FULL-grid sweeps, and
+    the fingerprint root makes a model change a clean miss.
 
     ``get``/``put`` never propagate :class:`OSError`: each failure is
     counted (``CacheStats.io_errors``), and after ``error_threshold``
@@ -204,7 +208,7 @@ class RunCache:
         self._disabled = False
 
     def _path(self, key: str) -> Path:
-        return self.root / f"v{CACHE_SCHEMA_VERSION}" / key[:2] / f"{key}.json"
+        return self.root / MODEL_FINGERPRINT / key[:2] / f"{key}.json"
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()
@@ -307,19 +311,19 @@ class RunCache:
         self.stats.bytes_written += len(text)
 
     def entry_count(self) -> int:
-        """Entries currently on disk for the active schema version."""
-        versioned = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        """Entries currently on disk for the current model."""
+        versioned = self.root / MODEL_FINGERPRINT
         if not versioned.is_dir():
             return 0
         return sum(1 for _ in versioned.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every entry of the active schema version; returns count.
+        """Delete every entry of the current model; returns count.
 
         Emptied ``<key[:2]>`` fan-out directories are removed as well,
         so a cleared cache leaves no skeleton behind.
         """
-        versioned = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        versioned = self.root / MODEL_FINGERPRINT
         removed = 0
         if versioned.is_dir():
             for entry in versioned.glob("*/*.json"):

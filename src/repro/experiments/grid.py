@@ -1,11 +1,11 @@
 """Parallel fan-out over the ``benchmark x design x IW`` experiment grid.
 
 ``run_grid`` is the sweep engine every figure/table driver routes its
-timing runs through: it resolves each grid point against the in-process
-memo and the on-disk cache (:mod:`repro.experiments.cache`), then
-executes the remaining points — serially for ``jobs=1``, or across a
-:class:`~concurrent.futures.ProcessPoolExecutor` otherwise — and fans
-the results back into both cache layers.  Determinism is independent of
+timing runs through: it resolves each grid point against the run store
+(:func:`~repro.experiments.runner.lookup_run`: memory, then the on-disk
+cache), then executes the remaining points — serially for ``jobs=1``,
+or across a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise
+— and keeps the results in the store.  Determinism is independent of
 parallelism: every point's memory seed comes from its
 :class:`~repro.experiments.runner.RunScale`, never from worker identity
 or completion order, so ``jobs=8`` and ``jobs=1`` produce bit-identical
@@ -22,7 +22,7 @@ device layer shares.  A failing point is retried per its
 :class:`~repro.experiments.resilience.RetryPolicy` and, once exhausted,
 recorded as a :class:`~repro.experiments.resilience.PointFailure` on
 ``GridResult.failures`` instead of killing the sweep.  Completed
-results are drained into the memo and disk cache as they arrive, so
+results are drained into the run store as they arrive, so
 nothing finished is ever lost to a sibling's crash; a dead worker pool
 is rebuilt and its in-flight points resubmitted.  With ``strict`` (the
 default for figure drivers) any residual failure raises *after*
@@ -423,42 +423,26 @@ def run_grid(
                 f"{failure.error_type}: {failure.message})"
             )
 
-    # Layer 1 + 2: memo, then disk.  A disk miss keeps its key for the
-    # store after simulation.
-    pending: List[GridPoint] = []
+    # Layer 1 + 2: the run store, memory then disk.  A miss keeps its
+    # key for the store after simulation.
     digests: Dict[GridPoint, str] = {}
     for point in points:
-        key = (point.benchmark.upper(), point.design, point.window)
-        memoized = runner.memo_lookup(point.benchmark, point.design,
-                                      point.window, scale)
-        if memoized is not None:
-            result.results[key] = memoized
-            note(RunRecord(point, "memo", 0.0))
-            continue
-        if disk is not None:
-            fetch_started = time.perf_counter()
-            digest = run_key(point.benchmark, point.design, point.window,
-                             scale)
-            cached = disk.get(digest)
-            if cached is not None:
-                result.results[key] = cached
-                runner.memo_store(point.benchmark, point.design,
-                                  point.window, scale, cached)
-                note(RunRecord(point, "cache",
-                               time.perf_counter() - fetch_started))
-                continue
+        fetch_started = time.perf_counter()
+        digest = run_key(point.benchmark, point.design, point.window, scale)
+        hit = runner.lookup_run(digest, disk)
+        if hit is None:
             digests[point] = digest
-        pending.append(point)
+            continue
+        result.results[(point.benchmark.upper(), point.design,
+                        point.window)] = hit[0]
+        note(RunRecord(point, hit[1], time.perf_counter() - fetch_started))
 
     # Layer 3: simulate what remains.
     def finish(point: GridPoint, seconds: float,
                run: SimulationResult, attempts: int) -> None:
         key = (point.benchmark.upper(), point.design, point.window)
         result.results[key] = run
-        runner.memo_store(point.benchmark, point.design, point.window,
-                          scale, run)
-        if disk is not None:
-            disk.put(digests[point], run)
+        runner.store_run(digests[point], run, disk)
         note(RunRecord(point, "sim", seconds, attempts))
 
     def fail(point: GridPoint, error: BaseException, attempts: int,
@@ -469,7 +453,7 @@ def run_grid(
 
     fan_out(
         [(point, (point.benchmark, point.design, point.window, scale))
-         for point in pending],
+         for point in digests],
         _grid_worker, jobs=jobs, policy=policy, finish=finish, fail=fail,
         label=GridPoint.label, initializer=_pool_initializer,
     )

@@ -1,18 +1,17 @@
 """Shared run infrastructure for the experiment drivers.
 
 ``run_design`` builds the benchmark trace (compiled with hints when the
-design needs them), runs the timing simulator, and memoizes the result:
+design needs them), runs the timing simulator, and keeps the result:
 Figures 10, 12 and 13 all consume the same runs, and pytest-benchmark
 calls each driver several times.
 
-Results are cached at two levels:
-
-* a process-local memo (``_run_cache``), exactly as before, so repeated
-  driver calls within one process are free and return identical objects;
-* optionally a persistent on-disk cache
-  (:class:`~repro.experiments.cache.RunCache`) shared across processes
-  and CI jobs — configure with :func:`set_cache`, or set
-  ``$REPRO_CACHE_DIR`` to enable it for a whole process.
+Results live in one store keyed by
+:func:`~repro.experiments.cache.run_key`: a process-wide in-memory map
+(repeated calls are free and return identical objects) backed by an
+optional on-disk :class:`~repro.experiments.cache.RunCache` shared
+across processes and CI jobs — configure with :func:`set_cache`, or
+set ``$REPRO_CACHE_DIR``.  ``run_design``, the grid and the sweep
+service all use :func:`lookup_run` and :func:`store_run`.
 
 Two standard sizes are provided:
 
@@ -80,25 +79,27 @@ FULL = RunScale(num_warps=32, trace_scale=0.5)
 DEVICE_QUICK = RunScale(num_warps=16, trace_scale=0.25, num_sms=4)
 
 _trace_cache: Dict[Tuple, KernelTrace] = {}
-_run_cache: Dict[Tuple, SimulationResult] = {}
+
+#: Every result this process has resolved, keyed by ``run_key``.
+_runs: Dict[str, SimulationResult] = {}
 
 #: The configured on-disk cache; ``False`` means "not yet resolved"
 #: (resolve lazily from the environment on first use).
 _disk_cache: object = False
 
-#: Simulator invocations performed by this process (memo/disk hits do
-#: not count) — the "zero simulator invocations on a warm cache" check.
+#: Simulator invocations performed by this process (store hits do not
+#: count) — the "zero simulator invocations on a warm cache" check.
 _simulations_run: int = 0
 
 
 def clear_cache() -> None:
-    """Drop all memoized traces and runs (tests use this for isolation).
+    """Drop all in-memory traces and runs (tests use this for isolation).
 
-    Only the in-process memo is dropped; a configured on-disk cache is
-    left untouched (use :meth:`RunCache.clear` for that).
+    Only memory is dropped; a configured on-disk cache is left
+    untouched (use :meth:`RunCache.clear` for that).
     """
     _trace_cache.clear()
-    _run_cache.clear()
+    _runs.clear()
 
 
 def set_cache(cache: Optional[RunCache]) -> Optional[RunCache]:
@@ -184,31 +185,45 @@ def device_scale(scale: RunScale, num_sms: int) -> RunScale:
     return replace(scale, num_sms=resolve_num_sms(num_sms))
 
 
-def memo_key(
-    benchmark: str, design: str, window_size: int, scale: RunScale
-) -> Tuple:
-    """The process-local memo key of one design point."""
-    return (benchmark.upper(), design, effective_window(design, window_size),
-            scale.num_warps, scale.trace_scale, scale.memory_seed,
-            scale.num_sms)
+def lookup_run(
+    key: str, disk: Optional[RunCache] = None
+) -> Optional[Tuple[SimulationResult, str]]:
+    """The stored result under ``key`` and where it came from, or ``None``.
+
+    Memory first (source ``"memo"``), then ``disk`` if one is given
+    (``"cache"``); a disk hit is kept in memory.  Only the disk read
+    counts in ``disk.stats``.
+    """
+    result = _runs.get(key)
+    if result is not None:
+        return result, "memo"
+    if disk is not None:
+        result = disk.get(key)
+        if result is not None:
+            _runs[key] = result
+            return result, "cache"
+    return None
 
 
-def memo_store(
-    benchmark: str,
-    design: str,
-    window_size: int,
-    scale: RunScale,
-    result: SimulationResult,
-) -> None:
-    """Insert a result into the process-local memo (grid fan-in uses this)."""
-    _run_cache[memo_key(benchmark, design, window_size, scale)] = result
+def store_run(key: str, result: SimulationResult,
+              disk: Optional[RunCache] = None) -> None:
+    """Keep ``result`` under ``key`` in memory, and on ``disk`` if given."""
+    _runs[key] = result
+    if disk is not None:
+        disk.put(key, result)
+
+
+def stored_runs() -> int:
+    """Results currently held in memory."""
+    return len(_runs)
 
 
 def memo_lookup(
     benchmark: str, design: str, window_size: int, scale: RunScale
 ) -> Optional[SimulationResult]:
-    """The memoized result of one design point, if present."""
-    return _run_cache.get(memo_key(benchmark, design, window_size, scale))
+    """The in-memory result of one design point, if present."""
+    return _runs.get(run_key(benchmark, design,
+                             effective_window(design, window_size), scale))
 
 
 def benchmark_trace(
@@ -286,12 +301,12 @@ def fast_forward_enabled() -> bool:
 def using_fast_forward(enabled: bool):
     """Temporarily override the fast-loop switch (CLI plumbing).
 
-    With fast-forward *disabled*, :func:`run_design` bypasses the memo
-    and the on-disk cache in both directions: a ``--no-fast-forward``
-    run exists to exercise the engine's reference loop, so serving it a
-    cached (fast-forwarded) result would defeat its purpose, and its
-    own result is not stored because ``fast_forwarded_cycles`` would
-    poison later cache hits.
+    With fast-forward *disabled*, :func:`run_design` bypasses the run
+    store in both directions: a ``--no-fast-forward`` run exists to
+    exercise the engine's reference loop, so serving it a cached
+    (fast-forwarded) result would defeat its purpose, and its own
+    result is not stored because ``fast_forwarded_cycles`` would poison
+    later cache hits.
     """
     previous = _fast_forward
     set_fast_forward(enabled)
@@ -344,9 +359,9 @@ def run_design(
 ) -> SimulationResult:
     """Run (or fetch the cached run of) one design point.
 
-    Lookup order: process-local memo, then the on-disk cache (if one is
-    configured), then :func:`execute_run`.  Fresh and disk-fetched
-    results are stored back into both layers.
+    Lookup order: :func:`lookup_run` (memory, then the on-disk cache
+    if one is configured), then :func:`execute_run`, whose result
+    :func:`store_run` keeps in both.
 
     Args:
         benchmark: a Table III benchmark name.
@@ -363,23 +378,13 @@ def run_design(
         # (see using_fast_forward).
         return execute_run(benchmark, design, window_size=window_size,
                            scale=scale)
-    key = memo_key(benchmark, design, window_size, scale)
-    if key in _run_cache:
-        return _run_cache[key]
-
+    key = run_key(benchmark, design, effective_window(design, window_size),
+                  scale)
     disk = get_cache()
-    digest = None
-    if disk is not None:
-        digest = run_key(benchmark, design,
-                         effective_window(design, window_size), scale)
-        cached = disk.get(digest)
-        if cached is not None:
-            _run_cache[key] = cached
-            return cached
-
+    hit = lookup_run(key, disk)
+    if hit is not None:
+        return hit[0]
     result = execute_run(benchmark, design, window_size=window_size,
                          scale=scale)
-    if disk is not None and digest is not None:
-        disk.put(digest, result)
-    _run_cache[key] = result
+    store_run(key, result, disk)
     return result

@@ -6,10 +6,11 @@
 concurrency-safe job engine.  Clients submit sweep specs — lists of
 ``(benchmark, design, window)`` points at one
 :class:`~repro.experiments.runner.RunScale` — and the service resolves
-each point through four layers:
+each point through three layers:
 
-1. **warm dict cache** — results this process has already produced, a
-   plain dict lookup keyed by :func:`~repro.experiments.cache.run_key`;
+1. **run store** — results this process already holds, found in memory
+   by :func:`~repro.experiments.cache.run_key` through the same
+   :func:`~repro.experiments.runner.lookup_run` every caller uses;
 2. **single-flight registry** — points currently *in flight* for any
    client: a later request for the same key attaches to the existing
    :class:`asyncio.Future` instead of scheduling new work, so N
@@ -17,11 +18,10 @@ each point through four layers:
 3. **priority queue + batching** — genuinely new points are queued
    (lower ``priority`` first, FIFO within a priority) and drained in
    batches; each batch becomes one reentrant ``run_grid(points=...)``
-   call on a reused thread-pool executor, preserving the grid engine's
-   memo/disk-cache layering and retry/drain semantics unchanged;
-4. **``run_grid`` itself** — which still consults the process memo and
-   the ``RunCache`` before simulating, so a service restart only costs
-   disk reads, not recomputation.
+   call on a reused thread-pool executor, which reads the ``RunCache``
+   before simulating (so a service restart only costs disk reads, not
+   recomputation) and keeps every result in the store, with the grid
+   engine's retry/drain semantics unchanged.
 
 Production hardening (see DESIGN.md §10 "Failure semantics &
 recovery"):
@@ -36,7 +36,7 @@ recovery"):
   their waiters resolve with a typed
   :class:`~repro.errors.ServiceTimeoutError` and the simulator never
   runs for them.  Points whose batch already started run to completion
-  (the result lands in the warm cache for everyone).
+  (the result lands in the run store for everyone).
 * **Write-ahead journal** — with a ``journal``, every job/point
   transition is durably recorded (:mod:`repro.service.journal`);
   :meth:`SweepService.recover` replays scheduled-but-unresolved points
@@ -151,13 +151,14 @@ class PointSpec:
 class ServiceStats:
     """Monotonic counters describing everything the service resolved.
 
-    ``points_requested`` splits exactly into ``warm_hits`` (dict-cache
-    lookups), ``coalesced`` (attached to an in-flight future), and
-    ``scheduled`` (genuinely new work).  ``simulated`` / ``from_cache``
-    / ``from_memo`` describe how scheduled points resolved inside
-    ``run_grid``, so ``simulated`` is the number the single-flight
-    claim is measured by.  ``overloaded`` counts jobs shed at
-    admission, ``expired`` counts queued points cancelled by a job
+    ``points_requested`` splits exactly into ``warm_hits`` (found in
+    the in-memory run store), ``coalesced`` (attached to an in-flight
+    future), and ``scheduled`` (genuinely new work).  ``simulated`` /
+    ``from_cache`` / ``from_memo`` describe how scheduled points
+    resolved inside ``run_grid`` (``from_memo`` is rare: the store was
+    checked at admission), so ``simulated`` is the number the
+    single-flight claim is measured by.  ``overloaded`` counts jobs
+    shed at admission, ``expired`` counts queued points cancelled by a job
     deadline, ``disconnects`` counts clients that vanished
     mid-response, and ``recovered_jobs`` / ``recovered_points`` report
     what :meth:`SweepService.recover` replayed from the journal.
@@ -352,7 +353,6 @@ class SweepService:
         self._telemetry_dir = (Path(telemetry_dir)
                                if telemetry_dir is not None else None)
         self.stats = ServiceStats()
-        self._warm: Dict[str, SimulationResult] = {}
         self._inflight: Dict[str, "asyncio.Future"] = {}
         self._queue: List[Tuple[int, int, _Queued]] = []
         self._queued_count = 0
@@ -401,7 +401,7 @@ class SweepService:
 
         Resubmits every point the journal shows as owed through the
         normal layering, so work that *finished* before the crash is
-        answered by the warm :class:`RunCache` (or memo) and only the
+        answered by the warm :class:`RunCache` and only the
         genuinely interrupted points simulate — zero duplicated
         simulations.  Recovery bypasses admission control: the service
         accepted these points once already.
@@ -567,7 +567,9 @@ class SweepService:
 
         # Classify before mutating anything so admission is atomic:
         # a shed job leaves no trace in the queue or the registry.
-        plan: List[Tuple[PointSpec, str, str]] = []
+        # The store is read in memory only: disk reads stay in run_grid,
+        # off the event loop.
+        plan: List[Tuple[PointSpec, str, str, object]] = []
         seen_keys = set()
         new_points = 0
         for spec in specs:
@@ -575,14 +577,14 @@ class SweepService:
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            if key in self._warm:
-                how = "warm"
+            hit = runner.lookup_run(key)
+            if hit is not None:
+                plan.append((spec, key, "warm", hit[0]))
             elif key in self._inflight:
-                how = "flight"
+                plan.append((spec, key, "flight", self._inflight[key]))
             else:
-                how = "queued"
                 new_points += 1
-            plan.append((spec, key, how))
+                plan.append((spec, key, "queued", None))
         if not _bypass_admission:
             self._admit(new_points)
 
@@ -601,19 +603,17 @@ class SweepService:
             scale=_scale_dict(specs[0].scale))
 
         waiters: List[Tuple[PointSpec, str, object, str]] = []
-        for spec, key, how in plan:
+        for spec, key, how, pending in plan:
             self.stats.points_requested += 1
             if how == "warm":
                 self.stats.warm_hits += 1
-                waiters.append((spec, key, self._warm[key], "warm"))
             elif how == "flight":
                 self.stats.coalesced += 1
-                waiters.append((spec, key, self._inflight[key], "flight"))
             else:
                 self.stats.scheduled += 1
-                future = loop.create_future()
-                self._inflight[key] = future
-                queued = _Queued(spec, key, future,
+                pending = loop.create_future()
+                self._inflight[key] = pending
+                queued = _Queued(spec, key, pending,
                                  deadline=deadline, deadline_ms=deadline_ms)
                 if deadline is not None:
                     queued.timer = loop.call_at(
@@ -626,7 +626,7 @@ class SweepService:
                     "point-scheduled", job=job_id, key=key,
                     benchmark=spec.benchmark, design=spec.design,
                     window=spec.window, scale=_scale_dict(spec.scale))
-                waiters.append((spec, key, future, "queued"))
+            waiters.append((spec, key, pending, how))
         if self._wakeup is not None:
             self._wakeup.set()
 
@@ -822,7 +822,6 @@ class SweepService:
                 self.stats.from_cache += 1
             else:
                 self.stats.from_memo += 1
-            self._warm[queued.key] = result
             self._journal_record("point-resolved", key=queued.key,
                                  ok=True, source=source)
             if not queued.future.done():
@@ -873,8 +872,8 @@ class SweepService:
 
     @property
     def warm_points(self) -> int:
-        """Entries in the warm dict cache."""
-        return len(self._warm)
+        """Results held in the process's in-memory run store."""
+        return runner.stored_runs()
 
     @property
     def inflight_points(self) -> int:

@@ -7,18 +7,20 @@ block's immediate post-dominator — the classic stack-based SIMT scheme
 GPUs (and GPGPU-Sim) implement.
 
 Per-lane branch outcomes are drawn deterministically from the edge
-probabilities (seeded by warp, block, and visit number), so divergence
-statistics follow the CFG's annotated branch biases while remaining
-reproducible.
+probabilities (seeded by a stable hash of warp, block and visit number,
+never by per-process string hashing), so divergence statistics follow
+the CFG's annotated branch biases while remaining reproducible.
 """
 
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import KernelError
+from ..gpu.memory import _mix_hash
 from ..isa import Instruction
 from ..kernels.cfg import BasicBlock, KernelCFG
 from .dominators import immediate_post_dominators
@@ -56,9 +58,8 @@ class SIMTStack:
         """Per-lane decision for a two-way branch."""
         probability = block.edges[0].probability
         visit = self._visits.get(block.label, 0)
-        rng = random.Random(
-            (self.seed * 1_000_003 + self.warp_id) ^ hash((block.label, visit))
-        )
+        rng = random.Random(_mix_hash(
+            self.seed, self.warp_id, zlib.crc32(block.label.encode()), visit))
         taken_bits = 0
         for lane in mask.lanes():
             if rng.random() < probability:

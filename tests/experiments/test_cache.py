@@ -9,8 +9,9 @@ import warnings
 
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
-    CACHE_SCHEMA_VERSION,
+    MODEL_FINGERPRINT,
     CacheDegradedWarning,
     RunCache,
     cache_from_env,
@@ -91,7 +92,7 @@ def _oracle_key(benchmark, design, window_size, scale, config=None):
 
     profile = get_profile(benchmark)
     payload = {
-        "schema": CACHE_SCHEMA_VERSION,
+        "schema": MODEL_FINGERPRINT,
         "benchmark": profile.name,
         "profile": _oracle_jsonable(profile.spec),
         "design": design,
@@ -111,7 +112,7 @@ class TestRunKeyBytes:
         from repro.experiments.runner import QUICK
 
         assert run_key("SAD", "bow", 3, QUICK) == (
-            "6ac0d08c5867927dfa52f0826325fe3958a0b01c71f62c1c10a386412e7348e4"
+            "8d8ac2805004be0051df710bdd8beecbda2516bda0dd531b118686d4c72c15c0"
         )
 
     def test_matches_whole_payload_formula(self):
@@ -141,7 +142,6 @@ class TestRunKeyBytes:
 
     def test_memo_grows_with_values_not_points(self):
         from repro.config import GPUConfig
-        from repro.experiments import cache as cache_module
 
         run_key("SAD", "bow", 3, TINY)
         run_key("SAD", "bow", 3, TINY, config=GPUConfig(alu_latency=5))
@@ -191,18 +191,32 @@ class TestRunCache:
         assert cache.stats.errors == 1
         assert key not in cache  # dropped, will be re-stored
 
-    def test_schema_version_embedded_in_layout(self, cache):
+    def test_model_fingerprint_embedded_in_layout(self, cache):
         result = execute_run("BFS", "baseline", scale=TINY)
         key = run_key("BFS", "baseline", 0, TINY)
         cache.put(key, result)
-        assert f"v{CACHE_SCHEMA_VERSION}" in str(cache._path(key))
+        assert cache._path(key).parts[-3] == MODEL_FINGERPRINT
+
+    def test_entry_of_another_model_misses(self, cache, monkeypatch):
+        """A run stored under an older model's fingerprint is never
+        served once the fingerprint changes."""
+        result = execute_run("BFS", "baseline", scale=TINY)
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module, "MODEL_FINGERPRINT", "0" * 64)
+            old_key = run_key("BFS", "baseline", 0, TINY)
+            cache.put(old_key, result)
+            assert cache.get(old_key) == result
+        key = run_key("BFS", "baseline", 0, TINY)
+        assert key != old_key
+        assert cache.get(key) is None
+        assert cache.entry_count() == 0
 
     def test_clear_removes_empty_fanout_dirs(self, cache):
         result = execute_run("BFS", "baseline", scale=TINY)
         for design in ("baseline", "bow", "bow-wr"):
             cache.put(run_key("BFS", design, 0, TINY), result)
         assert cache.clear() == 3
-        versioned = cache.root / f"v{CACHE_SCHEMA_VERSION}"
+        versioned = cache.root / MODEL_FINGERPRINT
         assert list(versioned.iterdir()) == []  # no skeleton left
 
     def test_clear_keeps_dirs_holding_foreign_files(self, cache):

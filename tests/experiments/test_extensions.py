@@ -1,7 +1,13 @@
 """Tests for the extension studies (warp scaling, SIMT suite study)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.ablations import warp_scaling
 from repro.experiments.runner import clear_cache
 from repro.experiments.simt_study import simt_suite_study
@@ -53,6 +59,24 @@ class TestSimtStudy:
     def test_format_lists_benchmarks(self, result):
         text = result.format()
         assert "BFS" in text and "SAD" in text
+
+    def test_same_study_under_any_hash_seed(self):
+        """Branch outcomes must not depend on per-process str hashing."""
+        script = ("from repro.experiments.simt_study import simt_suite_study;"
+                  "print(simt_suite_study(benchmarks=('LIB', 'BFS'), warps=1,"
+                  " max_instructions=1500).format())")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script], check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": src},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert "LIB" in outputs[0]
 
 
 class TestReorderStudy:

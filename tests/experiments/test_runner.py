@@ -1,14 +1,24 @@
 """Tests for the experiment run infrastructure."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.cache import RunCache
+from repro.experiments.grid import run_grid
 from repro.experiments.runner import (
     QUICK,
     RunScale,
     benchmark_trace,
     clear_cache,
+    lookup_run,
+    memo_lookup,
     run_design,
+    set_cache,
+    store_run,
+    stored_runs,
 )
 
 TINY = RunScale(num_warps=2, trace_scale=0.1)
@@ -89,3 +99,70 @@ class TestRunDesign:
             if inst.dest is not None
         }
         assert hints != {WritebackHint.BOTH}
+
+
+class TestRunStore:
+    """One in-memory store, keyed by ``run_key``, serves every caller."""
+
+    @pytest.fixture
+    def disk(self, tmp_path):
+        cache = RunCache(tmp_path / "runs")
+        previous = set_cache(cache)
+        yield cache
+        set_cache(previous)
+
+    def test_grid_result_is_the_same_object_everywhere(self):
+        grid = run_grid(["BFS"], ["bow", "baseline"], (3,), scale=TINY,
+                        jobs=1, cache=None)
+        bow = grid.get("BFS", "bow")
+        assert run_design("BFS", "bow", window_size=3, scale=TINY) is bow
+        assert memo_lookup("BFS", "bow", 3, TINY) is bow
+        # memo_lookup applies the effective window, as run_design does.
+        baseline = grid.get("BFS", "baseline")
+        assert memo_lookup("BFS", "baseline", 5, TINY) is baseline
+        assert memo_lookup("BFS", "bow", 5, TINY) is None
+
+    def test_memory_hits_leave_disk_hits_unchanged(self, disk):
+        run_design("BFS", "bow", window_size=3, scale=TINY)
+        clear_cache()
+        first = run_design("BFS", "bow", window_size=3, scale=TINY)
+        assert disk.stats.hits == 1
+        assert run_design("BFS", "bow", window_size=3, scale=TINY) is first
+        grid = run_grid(["BFS"], ["bow"], (3,), scale=TINY, jobs=1)
+        assert [record.source for record in grid.records] == ["memo"]
+        assert grid.get("BFS", "bow") is first
+        assert disk.stats.hits == 1
+
+    def test_clear_cache_empties_the_store(self):
+        run_design("BFS", "baseline", scale=TINY)
+        assert stored_runs() == 1
+        clear_cache()
+        assert stored_runs() == 0
+        assert memo_lookup("BFS", "baseline", 3, TINY) is None
+
+    def test_concurrent_stores_lose_nothing(self):
+        """The service reads the store on its event loop while
+        ``run_grid`` writes it from the executor thread."""
+        misses = []
+
+        def work(worker):
+            for index in range(500):
+                key = f"{worker}:{index}"
+                store_run(key, key)
+                if lookup_run(key) != (key, "memo"):
+                    misses.append(key)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert misses == []
+        assert stored_runs() == 8 * 500

@@ -447,13 +447,14 @@ class TestRunnerIntegration:
         assert scaled.num_sms == 4
         assert scaled.num_warps == QUICK.num_warps
 
-    def test_memo_keys_distinct_per_sms(self):
+    def test_run_keys_distinct_per_sms(self):
         from dataclasses import replace
 
-        from repro.experiments.runner import QUICK, memo_key
+        from repro.experiments.cache import run_key
+        from repro.experiments.runner import QUICK
 
-        single = memo_key("BTREE", "bow", 3, QUICK)
-        device = memo_key("BTREE", "bow", 3, replace(QUICK, num_sms=4))
+        single = run_key("BTREE", "bow", 3, QUICK)
+        device = run_key("BTREE", "bow", 3, replace(QUICK, num_sms=4))
         assert single != device
 
     def test_run_design_routes_through_device(self):

@@ -19,6 +19,9 @@ A simplification of the engine must leave this file passing unchanged.
 Regenerate it only for an intentional model change::
 
     PYTHONPATH=src:. python tests/observe/test_engine_golden.py
+
+then set ``repro.experiments.cache.MODEL_FINGERPRINT`` to the digest
+it prints, which turns every run cache cold.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from tests.observe.conftest import (
 
 from repro.config import GPUConfig, SchedulerPolicy
 from repro.core.bow_sm import simulate_design
+from repro.experiments.cache import MODEL_FINGERPRINT
 from repro.kernels.synthetic import generate_compiled_trace, generate_trace
 from repro.stats.trace import TraceRecorder
 
@@ -132,6 +136,17 @@ def _load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())["points"]
 
 
+def golden_fingerprint() -> str:
+    """The sha256 of the golden file's canonical JSON."""
+    canonical = json.dumps(json.loads(GOLDEN_PATH.read_text()),
+                           sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_model_fingerprint_is_the_golden_digest():
+    assert MODEL_FINGERPRINT == golden_fingerprint()
+
+
 def test_golden_covers_every_point():
     expected = {point_id(*point)
                 for point in ORACLE_POINTS + SCHEDULER_POINTS}
@@ -164,6 +179,7 @@ def _regenerate() -> None:
         points[point_id(*point)] = run_point(*point)
     GOLDEN_PATH.write_text(
         json.dumps({"points": points}, indent=1, sort_keys=True) + "\n")
+    print(f"MODEL_FINGERPRINT = {golden_fingerprint()!r}")
 
 
 if __name__ == "__main__":

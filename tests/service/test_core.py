@@ -139,6 +139,25 @@ class TestSingleFlight:
         assert all(outcome.source == "warm" for outcome in job.outcomes)
         assert service.stats.warm_hits == len(job.outcomes)
 
+    def test_point_resolved_by_run_grid_is_answered_warm(self):
+        from repro.experiments.grid import run_grid
+
+        grid = run_grid(BENCHES, DESIGNS, (3,), scale=TINY, jobs=1,
+                        cache=None)
+
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                return service, await service.submit(grid_specs())
+
+        service, job = asyncio.run(scenario())
+        assert all(outcome.source == "warm" for outcome in job.outcomes)
+        for outcome in job.outcomes:
+            spec = outcome.spec
+            assert outcome.result is grid.get(spec.benchmark, spec.design,
+                                              spec.window)
+        assert service.stats.scheduled == 0
+        assert service.stats.batches == 0
+
     def test_duplicate_points_within_a_job_collapse(self):
         async def scenario():
             async with SweepService(cache=None) as service:
