@@ -214,19 +214,14 @@ def window_sweep(
     scale: RunScale = QUICK,
 ) -> WindowSweep:
     """Extend the Figure 3/10 sweep beyond IW=7 (the paper's future work)."""
-    hits = dict.fromkeys(windows, 0)
-    total = 0
-    streams = (warp.instructions for warp in benchmark_trace(benchmark, scale))
-    for gaps, count in stream_window_gaps(streams):
-        total += gaps.reads * count
-        for window_size in windows:
-            hits[window_size] += gaps.read_hits(window_size) * count
+    gaps = stream_window_gaps(benchmark_trace(benchmark, scale))
     grid = run_grid((benchmark,), ("baseline", "bow"), windows, scale=scale)
     base = grid.get(benchmark, "baseline")
     points = []
     for window_size in windows:
         result = grid.get(benchmark, "bow", window_size)
-        points.append((window_size, hits[window_size] / max(1, total),
+        points.append((window_size,
+                       gaps.read_hits(window_size) / max(1, gaps.reads),
                        result.ipc / base.ipc - 1.0))
     return WindowSweep(benchmark=benchmark, points=points)
 
@@ -283,11 +278,11 @@ def dce_study(
     for bench in benchmarks:
         spec = replace(get_profile(bench).spec, loop_iterations=6)
         cfg = generate_kernel(spec)
-        trace = cfg.expand_trace(random_module.Random(seed))
+        trace = cfg.expand_warp(0, random_module.Random(seed))
         hits, total = write_bypass_opportunity_counts(trace, window_size)
         before = hits / max(1, total)
         result = eliminate_dead_code(cfg)
-        trace = cfg.expand_trace(random_module.Random(seed))
+        trace = cfg.expand_warp(0, random_module.Random(seed))
         hits, total = write_bypass_opportunity_counts(trace, window_size)
         after = hits / max(1, total)
         rows.append((bench, result.dead_fraction, before, after))
@@ -390,11 +385,11 @@ def reorder_study(
     for bench in benchmarks:
         spec = replace(get_profile(bench).spec, loop_iterations=6)
         cfg = generate_kernel(spec)
-        before_trace = cfg.expand_trace(random_module.Random(seed))
+        before_trace = cfg.expand_warp(0, random_module.Random(seed))
         hits, total = read_bypass_counts(before_trace, window_size)
         before = hits / max(1, total)
         moved = schedule_kernel(cfg, window_size)
-        after_trace = cfg.expand_trace(random_module.Random(seed))
+        after_trace = cfg.expand_warp(0, random_module.Random(seed))
         hits, total = read_bypass_counts(after_trace, window_size)
         after = hits / max(1, total)
         rows.append((bench, moved, before, after))

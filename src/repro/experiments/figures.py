@@ -8,9 +8,7 @@ against.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Dict, Tuple
 
 from ..config import bow_wr_config
@@ -37,9 +35,9 @@ _DEFAULT_WINDOWS = (2, 3, 4, 5, 6, 7)
 _IPC_WINDOWS = (2, 3, 4)
 
 #: The per-window entry points ``perfbench/layers.py`` patches on this
-#: module to time ``core.window``; Figure 3 itself runs one
-#: :func:`~repro.core.window.window_gaps` pass per distinct warp stream
-#: instead.
+#: module to time ``core.window``; Figure 3 itself runs
+#: :func:`~repro.core.window.stream_window_gaps` over each benchmark's
+#: warps instead.
 _PROBED_WINDOW_ANALYSES = (read_bypass_counts, write_bypass_opportunity_counts)
 
 
@@ -141,25 +139,16 @@ def fig3_bypass_opportunity(
 ) -> Fig3Result:
     """Reproduce Figure 3 by sliding-window analysis of the suite traces.
 
-    One reuse-gap pass per distinct warp stream answers every window in
-    ``windows``; each stream counts once per warp that runs it.
+    One reuse-gap pass over each benchmark's warps (read through their
+    block segments) answers every window in ``windows``.
     """
     reads: Dict[str, Dict[int, float]] = {}
     writes: Dict[str, Dict[int, float]] = {}
     for bench in benchmark_names():
-        read_hits = dict.fromkeys(windows, 0)
-        write_hits = dict.fromkeys(windows, 0)
-        read_total = write_total = 0
-        streams = (warp.instructions for warp in benchmark_trace(bench, scale))
-        for gaps, count in stream_window_gaps(streams):
-            read_total += gaps.reads * count
-            write_total += gaps.writes * count
-            for iw in windows:
-                read_hits[iw] += gaps.read_hits(iw) * count
-                write_hits[iw] += gaps.write_hits(iw) * count
-        reads[bench] = {iw: read_hits[iw] / max(1, read_total)
+        gaps = stream_window_gaps(benchmark_trace(bench, scale))
+        reads[bench] = {iw: gaps.read_hits(iw) / max(1, gaps.reads)
                         for iw in windows}
-        writes[bench] = {iw: write_hits[iw] / max(1, write_total)
+        writes[bench] = {iw: gaps.write_hits(iw) / max(1, gaps.writes)
                          for iw in windows}
     return Fig3Result(windows=windows, reads=reads, writes=writes)
 
@@ -258,9 +247,9 @@ def fig7_write_destinations(
 ) -> Fig7Result:
     """Reproduce Figure 7: hint bits weighted by dynamic execution.
 
-    Loop iterations (and warps) repeat the same instruction objects, so
-    the dynamic weight of each static instruction is counted first and
-    each distinct instruction is tested once.
+    Each warp's block segments give every body's dynamic repeats, so
+    each distinct body's instructions are tested once and weighted by
+    how often the warps run it.
     """
     rf_only: Dict[str, float] = {}
     both: Dict[str, float] = {}
@@ -269,12 +258,14 @@ def fig7_write_destinations(
         trace = benchmark_trace(bench, scale, window_size=window_size)
         counts = {WritebackHint.RF_ONLY: 0, WritebackHint.BOTH: 0,
                   WritebackHint.OC_ONLY: 0}
-        dynamic = list(chain.from_iterable(trace))
-        by_id = dict(zip(map(id, dynamic), dynamic))
-        for key, repeats in Counter(map(id, dynamic)).items():
-            inst = by_id[key]
-            if inst.dest is not None and inst.dest != SINK_REGISTER:
-                counts[inst.hint] += repeats
+        bodies: Dict[int, list] = {}
+        for warp in trace:
+            for body, repeats in warp.segments:
+                bodies.setdefault(id(body), [body, 0])[1] += repeats
+        for body, repeats in bodies.values():
+            for inst in body:
+                if inst.dest is not None and inst.dest != SINK_REGISTER:
+                    counts[inst.hint] += repeats
         total = max(1, sum(counts.values()))
         rf_only[bench] = counts[WritebackHint.RF_ONLY] / total
         both[bench] = counts[WritebackHint.BOTH] / total

@@ -33,8 +33,13 @@ from ..core.bow_sm import simulate_design
 from ..core.designs import DesignSpec, get_design, known_designs
 from ..errors import ExperimentError
 from ..gpu.sm import SimulationResult
+from ..kernels.cfg import KernelCFG
 from ..kernels.suites import get_profile
-from ..kernels.synthetic import generate_compiled_trace, generate_trace
+from ..kernels.synthetic import (
+    generate_compiled_trace,
+    generate_kernel,
+    generate_trace,
+)
 from ..kernels.trace import KernelTrace
 from ..stats.cache import CacheStats
 from .cache import RunCache, cache_from_env, run_key
@@ -80,6 +85,10 @@ DEVICE_QUICK = RunScale(num_warps=16, trace_scale=0.25, num_sms=4)
 
 _trace_cache: Dict[Tuple, KernelTrace] = {}
 
+#: The kernel behind each benchmark and scale, generated once for the
+#: plain trace and every hinted one (which compile copies of it).
+_kernel_cache: Dict[Tuple, KernelCFG] = {}
+
 #: Every result this process has resolved, keyed by ``run_key``.
 _runs: Dict[str, SimulationResult] = {}
 
@@ -99,6 +108,7 @@ def clear_cache() -> None:
     untouched (use :meth:`RunCache.clear` for that).
     """
     _trace_cache.clear()
+    _kernel_cache.clear()
     _runs.clear()
 
 
@@ -241,10 +251,14 @@ def benchmark_trace(
         num_warps=scale.num_warps,
         loop_iterations=max(1, round(spec.loop_iterations * scale.trace_scale)),
     )
+    kernel_key = key[:3]  # the hinted traces share the plain one's kernel
+    kernel = _kernel_cache.get(kernel_key)
+    if kernel is None:
+        kernel = _kernel_cache[kernel_key] = generate_kernel(spec)
     if window_size is None:
-        trace = generate_trace(spec)
+        trace = generate_trace(spec, kernel=kernel)
     else:
-        trace = generate_compiled_trace(spec, window_size)
+        trace = generate_compiled_trace(spec, window_size, kernel=kernel)
     _trace_cache[key] = trace
     return trace
 

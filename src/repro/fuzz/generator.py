@@ -313,12 +313,8 @@ def expand_warps(cfg: KernelCFG, num_warps: int, seed: int,
                  max_instructions: int) -> List[WarpTrace]:
     """Per-warp dynamic expansion with the builder's rng convention."""
     return [
-        WarpTrace(
-            warp_id=warp_id,
-            instructions=cfg.expand_trace(
-                random.Random(seed + warp_id + 1), max_instructions
-            ),
-        )
+        cfg.expand_warp(warp_id, random.Random(seed + warp_id + 1),
+                        max_instructions)
         for warp_id in range(num_warps)
     ]
 

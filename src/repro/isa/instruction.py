@@ -164,9 +164,14 @@ class Instruction:
         """An identical instruction carrying a new writeback hint.
 
         The ``uid`` is preserved so traces remain correlated with the
-        compiler's static view.
+        compiler's static view.  Only the hint changes, so the copy
+        takes this validated instance's fields as they are instead of
+        constructing (and re-checking) a new one.
         """
-        return replace(self, hint=hint)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.__dict__["hint"] = hint
+        return clone
 
     def renumbered(self) -> "Instruction":
         """A copy with a fresh ``uid`` (used when cloning loop bodies)."""

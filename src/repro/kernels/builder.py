@@ -33,7 +33,7 @@ from ..isa import Instruction
 from ..isa.opcodes import opcode_by_name
 from ..isa.registers import SINK_REGISTER, Predicate, Register
 from .cfg import BasicBlock, Edge, KernelCFG
-from .trace import KernelTrace, WarpTrace
+from .trace import KernelTrace
 
 RegisterLike = Union[int, Register]
 
@@ -201,12 +201,8 @@ class KernelBuilder:
 
         cfg = self.build()
         warps = [
-            WarpTrace(
-                warp_id=w,
-                instructions=cfg.expand_trace(
-                    random.Random(seed + w + 1), max_instructions_per_warp
-                ),
-            )
+            cfg.expand_warp(w, random.Random(seed + w + 1),
+                            max_instructions_per_warp)
             for w in range(num_warps)
         ]
         return KernelTrace(name=self.name, warps=warps)

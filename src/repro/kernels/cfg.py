@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from operator import is_
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import KernelError
 from ..isa import Instruction
+from .trace import Segment, WarpTrace
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,9 @@ class KernelCFG:
             raise KernelError(f"entry block {entry!r} not defined")
         self.entry = entry
         self._validate_edges()
+        #: Per-label snapshot of the block body last expanded, shared by
+        #: every expansion while the block's instructions stay the same.
+        self._bodies: Dict[str, Tuple[Instruction, ...]] = {}
 
     def _validate_edges(self) -> None:
         for block in self.blocks.values():
@@ -121,21 +126,42 @@ class KernelCFG:
             if any(edge.target == label for edge in block.edges)
         ]
 
-    def expand_trace(
+    def copy(self) -> "KernelCFG":
+        """A CFG with the same blocks, edges and instruction objects.
+
+        Each block gets its own instruction list, so a pass that
+        rewrites a copy's block bodies in place (the hint compiler)
+        leaves this CFG, and traces expanded from it, untouched.
+        """
+        return KernelCFG(
+            self.name,
+            [BasicBlock(block.label, list(block.instructions),
+                        list(block.edges), block.max_visits)
+             for block in self],
+            self.entry,
+        )
+
+    def expand_segments(
         self,
         rng: random.Random,
         max_instructions: int = 100_000,
-    ) -> List[Instruction]:
-        """Resolve control flow into one dynamic instruction stream.
+    ) -> List[Segment]:
+        """Resolve control flow into one warp's run-length block path.
 
         Block bodies are emitted as-is; at each branch the successor is
         drawn from the edge probabilities using ``rng``.  Expansion stops
-        at an exit block or at ``max_instructions`` (whichever first).
+        at an exit block or at ``max_instructions`` (whichever first);
+        a block cut by the limit ends the path as a shorter body.
+        Back-to-back visits of one block form one ``(body, repeats)``
+        segment, and every expansion of this CFG shares one body tuple
+        per block while the block's instructions stay the same objects.
         """
-        trace: List[Instruction] = []
+        segments: List[list] = []
         visits: Dict[str, int] = {}
+        bodies: Dict[str, Tuple[Instruction, ...]] = {}
+        length = 0
         label: Optional[str] = self.entry
-        while label is not None and len(trace) < max_instructions:
+        while label is not None and length < max_instructions:
             block = self.blocks[label]
             visits[label] = visits.get(label, 0) + 1
             if visits[label] > block.max_visits:
@@ -143,10 +169,47 @@ class KernelCFG:
                     f"block {label!r} visited more than {block.max_visits} "
                     "times; runaway loop?"
                 )
-            remaining = max_instructions - len(trace)
-            trace.extend(block.instructions[:remaining])
+            body = bodies.get(label)
+            if body is None:
+                body = bodies[label] = self._body(block)
+            if len(body) > max_instructions - length:
+                body = body[:max_instructions - length]
+            length += len(body)
+            if segments and segments[-1][0] is body:
+                segments[-1][1] += 1
+            elif body:
+                segments.append([body, 1])
             label = self._pick_successor(block, rng)
+        return [(body, repeats) for body, repeats in segments]
+
+    def expand_trace(
+        self,
+        rng: random.Random,
+        max_instructions: int = 100_000,
+    ) -> List[Instruction]:
+        """:meth:`expand_segments` flattened to one instruction stream."""
+        trace: List[Instruction] = []
+        for body, repeats in self.expand_segments(rng, max_instructions):
+            trace.extend(body * repeats)
         return trace
+
+    def expand_warp(
+        self,
+        warp_id: int,
+        rng: random.Random,
+        max_instructions: int = 100_000,
+    ) -> WarpTrace:
+        """Warp ``warp_id``'s trace, keeping its block segments."""
+        return WarpTrace.from_segments(
+            warp_id, self.expand_segments(rng, max_instructions))
+
+    def _body(self, block: BasicBlock) -> Tuple[Instruction, ...]:
+        body = self._bodies.get(block.label)
+        current = block.instructions
+        if (body is None or len(body) != len(current)
+                or not all(map(is_, body, current))):
+            body = self._bodies[block.label] = tuple(current)
+        return body
 
     @staticmethod
     def _pick_successor(block: BasicBlock, rng: random.Random) -> Optional[str]:

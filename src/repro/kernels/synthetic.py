@@ -28,7 +28,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 from ..errors import KernelError
 from ..isa import Instruction, Register, opcode_by_name
 from .cfg import KernelCFG
-from .trace import KernelTrace, WarpTrace
+from .trace import KernelTrace
 
 _ALU_2SRC = ("add", "sub", "mul", "and", "or", "xor", "shl", "shr", "min", "max")
 _ALU_3SRC = ("mad", "fma", "sel")
@@ -353,41 +353,46 @@ def generate_kernel(spec: SyntheticKernelSpec) -> KernelCFG:
 
 
 def generate_trace(spec: SyntheticKernelSpec,
-                   max_instructions_per_warp: int = 20_000) -> KernelTrace:
+                   max_instructions_per_warp: int = 20_000,
+                   kernel: Optional[KernelCFG] = None) -> KernelTrace:
     """Generate the kernel and expand one trace per warp.
 
     Warp ``w`` expands with seed ``spec.seed + w`` so warps follow
     slightly different paths (different loop trip counts), as they do in
-    real launches.
+    real launches.  ``kernel`` is ``generate_kernel(spec)`` when the
+    caller already has it.
     """
-    cfg = generate_kernel(spec)
-    warps = []
-    for warp_id in range(spec.num_warps):
-        rng = random.Random(spec.seed + warp_id + 1)
-        instructions = cfg.expand_trace(rng, max_instructions_per_warp)
-        warps.append(WarpTrace(warp_id=warp_id, instructions=instructions))
-    return KernelTrace(name=spec.name, warps=warps)
+    cfg = generate_kernel(spec) if kernel is None else kernel
+    return _expand(spec, cfg, max_instructions_per_warp)
 
 
 def generate_compiled_trace(
     spec: SyntheticKernelSpec,
     window_size: int,
     max_instructions_per_warp: int = 20_000,
+    kernel: Optional[KernelCFG] = None,
 ) -> KernelTrace:
     """Generate, run the BOW-WR compiler, then expand per-warp traces.
 
     The compiler pass rewrites the kernel's instructions with their
     writeback-hint bits before control flow is resolved, so every
     dynamic occurrence of a static instruction carries the same hint —
-    exactly what hardware decoding the 2 hint bits would see.
+    exactly what hardware decoding the 2 hint bits would see.  Given
+    ``kernel`` (``generate_kernel(spec)``), a copy of it is compiled, so
+    the kernel and traces already expanded from it keep their hints.
     """
     from ..compiler.pipeline import compile_kernel
 
-    cfg = generate_kernel(spec)
+    cfg = generate_kernel(spec) if kernel is None else kernel.copy()
     compile_kernel(cfg, window_size)
-    warps = []
-    for warp_id in range(spec.num_warps):
-        rng = random.Random(spec.seed + warp_id + 1)
-        instructions = cfg.expand_trace(rng, max_instructions_per_warp)
-        warps.append(WarpTrace(warp_id=warp_id, instructions=instructions))
+    return _expand(spec, cfg, max_instructions_per_warp)
+
+
+def _expand(spec: SyntheticKernelSpec, cfg: KernelCFG,
+            max_instructions_per_warp: int) -> KernelTrace:
+    warps = [
+        cfg.expand_warp(warp_id, random.Random(spec.seed + warp_id + 1),
+                        max_instructions_per_warp)
+        for warp_id in range(spec.num_warps)
+    ]
     return KernelTrace(name=spec.name, warps=warps)

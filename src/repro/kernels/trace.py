@@ -5,6 +5,11 @@ executes; a :class:`KernelTrace` bundles the traces of every warp of a
 kernel launch.  The bypass analyses (Figure 3, 7, 8, Table I) and the
 timing simulator both consume traces, so their semantics agree by
 construction.
+
+A trace expanded from a :class:`~repro.kernels.cfg.KernelCFG` also
+keeps its block path run-length encoded as :data:`Segment` pairs, so the
+static analyses (:mod:`repro.core.window`, Figure 7) cost what the path
+has blocks, not what it has loop iterations.
 """
 
 from __future__ import annotations
@@ -33,16 +38,42 @@ class RegisterAccess:
     operand_slot: int = -1
 
 
+#: ``(body, repeats)``: ``repeats`` back-to-back copies of one block body.
+Segment = Tuple[Sequence[Instruction], int]
+
+
 @dataclass
 class WarpTrace:
-    """The dynamic instruction stream of one warp."""
+    """The dynamic instruction stream of one warp.
+
+    ``instructions`` is the stream itself.  ``segments`` is the same
+    stream as run-length block segments: concatenating ``repeats``
+    copies of each ``body`` in order gives ``instructions``.  Traces
+    expanded from a CFG carry one segment per run of back-to-back visits
+    of a block, with bodies shared by every warp of the expansion; any
+    other trace (hand-built, imported, deserialized, shrunk) is one
+    segment of count 1 holding ``instructions`` itself.
+    """
 
     warp_id: int
     instructions: List[Instruction] = field(default_factory=list)
+    segments: Tuple[Segment, ...] = field(default=(), compare=False,
+                                          repr=False)
 
     def __post_init__(self) -> None:
         if self.warp_id < 0:
             raise KernelError(f"warp_id must be >= 0, got {self.warp_id}")
+        if not self.segments and self.instructions:
+            self.segments = ((self.instructions, 1),)
+
+    @classmethod
+    def from_segments(cls, warp_id: int,
+                      segments: Sequence[Segment]) -> "WarpTrace":
+        """The warp whose stream is ``segments`` expanded in order."""
+        instructions: List[Instruction] = []
+        for body, repeats in segments:
+            instructions.extend(body * repeats)
+        return cls(warp_id, instructions, tuple(segments))
 
     def __len__(self) -> int:
         return len(self.instructions)

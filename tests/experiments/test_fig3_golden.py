@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import window
 from repro.core.window import stream_window_gaps, window_gaps
 from repro.experiments.figures import Fig3Result, fig3_bypass_opportunity
 from repro.experiments.runner import QUICK, benchmark_trace
@@ -86,12 +87,30 @@ def test_distinct_streams_equal_per_warp_loop():
             == _per_warp_fig3((1, 9, 12)))
 
 
-def test_streams_are_shared_and_weighted():
+def test_streams_are_shared_and_weighted(monkeypatch):
     warps = benchmark_trace("SAD", QUICK).warps
-    weighted = stream_window_gaps(warp.instructions for warp in warps)
-    assert sum(count for _, count in weighted) == len(warps)
-    assert len(weighted) < len(warps)
-    # Equal but distinct instruction objects are different streams.
+    summarized = []
+    summarize = window._Body
+
+    def counting(body):
+        summarized.append(body)
+        return summarize(body)
+
+    monkeypatch.setattr(window, "_Body", counting)
+    combined = stream_window_gaps(warps)
+    # One summary per distinct block body, however many warps run it.
+    bodies = {id(body) for warp in warps for body, _ in warp.segments}
+    assert len(summarized) == len(bodies) < len(warps)
+    per_warp = [window_gaps(warp) for warp in warps]
+    assert combined.reads == sum(gaps.reads for gaps in per_warp)
+    for iw in (1, 3, 12):
+        assert combined.read_hits(iw) == sum(gaps.read_hits(iw)
+                                             for gaps in per_warp)
+        assert combined.write_hits(iw) == sum(gaps.write_hits(iw)
+                                              for gaps in per_warp)
+    # Equal but distinct instruction lists are summarized separately.
+    summarized.clear()
     copies = [list(map(copy.copy, warps[0].instructions)),
-              warps[0].instructions, list(warps[0].instructions)]
-    assert [count for _, count in stream_window_gaps(copies)] == [1, 2]
+              warps[0].instructions, warps[0].instructions]
+    stream_window_gaps(copies)
+    assert len(summarized) == 2

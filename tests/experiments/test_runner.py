@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import runner as runner_module
 from repro.experiments.cache import RunCache
 from repro.experiments.grid import run_grid
 from repro.experiments.runner import (
@@ -20,6 +21,7 @@ from repro.experiments.runner import (
     store_run,
     stored_runs,
 )
+from repro.isa import WritebackHint
 
 TINY = RunScale(num_warps=2, trace_scale=0.1)
 
@@ -57,6 +59,37 @@ class TestTraceCache:
     def test_scale_applied(self):
         trace = benchmark_trace("BFS", TINY)
         assert trace.num_warps == 2
+
+    def test_plain_and_hinted_share_one_kernel(self, monkeypatch):
+        generated = []
+        generate = runner_module.generate_kernel
+
+        def counting(spec):
+            generated.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(runner_module, "generate_kernel", counting)
+        hinted = benchmark_trace("SAD", TINY, window_size=3)
+        plain = benchmark_trace("SAD", TINY)
+        benchmark_trace("SAD", TINY, window_size=4)
+        assert len(generated) == 1
+        # The hinted traces expand compiled copies: the plain trace's
+        # instructions never carry a hint, and the unrewritten ones are
+        # the same objects in both.
+        plain_insts = {id(inst): inst for warp in plain for inst in warp}
+        assert {inst.hint for inst in plain_insts.values()} == {
+            WritebackHint.BOTH}
+        hinted_insts = [inst for warp in hinted for inst in warp]
+        assert any(id(inst) in plain_insts for inst in hinted_insts)
+        assert any(inst.hint is not WritebackHint.BOTH
+                   for inst in hinted_insts)
+
+    def test_clear_cache_drops_the_kernel(self):
+        body = benchmark_trace("SAD", TINY).warps[0].segments[0][0]
+        clear_cache()
+        again = benchmark_trace("SAD", TINY).warps[0].segments[0][0]
+        assert again is not body
+        assert [str(inst) for inst in again] == [str(inst) for inst in body]
 
 
 class TestRunDesign:

@@ -99,8 +99,9 @@ class TestFig7:
         assert oc_only > 0.4
 
     def test_matches_per_dynamic_instruction_count(self):
-        # The figure counts each static instruction once, weighted by
-        # its repeats; that must equal testing every dynamic one.
+        # The figure tests each block body once, weighted by its
+        # segment repeats; that must equal testing every dynamic
+        # instruction.
         result = fig7_write_destinations(scale=QUICK)
         for bench in benchmark_names():
             trace = benchmark_trace(bench, QUICK, window_size=3)

@@ -1,11 +1,15 @@
 """Tests for the Instruction value type."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import IsaError
 from repro.isa import Instruction, MemSpace, WritebackHint
 from repro.isa.opcodes import opcode_by_name
 from repro.isa.registers import Predicate, Register
+from repro.kernels.suites import benchmark_names, get_profile
+from repro.kernels.synthetic import generate_kernel
 
 
 def make(name, dest=None, sources=(), imm=None, pred=None):
@@ -75,6 +79,23 @@ class TestHints:
         assert hinted.uid == inst.uid
         assert hinted.hint is WritebackHint.OC_ONLY
         assert inst.hint is WritebackHint.BOTH  # original untouched
+
+    def test_with_hint_equals_replace_on_every_kernel_instruction(self):
+        # with_hint copies the validated fields instead of constructing
+        # anew; the copy must be what dataclasses.replace builds.
+        for bench in benchmark_names():
+            cfg = generate_kernel(get_profile(bench).spec)
+            for inst in cfg.static_instructions:
+                for hint in WritebackHint:
+                    copied = inst.with_hint(hint)
+                    expected = replace(inst, hint=hint)
+                    assert type(copied) is Instruction
+                    for item in fields(Instruction):
+                        assert (getattr(copied, item.name)
+                                == getattr(expected, item.name)), item.name
+                    assert copied == expected
+                    assert hash(copied) == hash(expected)
+                    assert copied.__dict__ == expected.__dict__
 
     def test_renumbered_gets_fresh_uid(self):
         inst = make("add", dest=1, sources=(2, 3))
