@@ -122,9 +122,6 @@ class BOWCollectors(OperandProvider):
         last = warp.last_access.get(register_id)
         return last is not None and warp.seq - last < self.window_size
 
-    def _refresh(self, warp: _WarpBOC, register_id: int) -> None:
-        warp.last_access[register_id] = warp.seq
-
     def _slide_window(self, warp: _WarpBOC) -> None:
         """Evict operands whose last access just fell out of the window."""
         entries = warp.entries

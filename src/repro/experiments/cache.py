@@ -27,7 +27,9 @@ per process and its text reused; the small parts are formatted on every
 call.  Existing cache directories therefore stay warm.
 
 Values are :class:`~repro.gpu.sm.SimulationResult` payloads in the
-JSON format of :mod:`repro.kernels.serialize`.  Entries are written
+JSON format of :mod:`repro.kernels.serialize` (counters as an object,
+images as packed uint32 words); the format version is a directory of
+the layout, so a format change is a clean miss.  Entries are written
 atomically (temp file + rename) so concurrent sweep workers and CI
 jobs can share one cache directory.
 
@@ -58,7 +60,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..config import GPUConfig
 from ..errors import KernelError
-from ..kernels.serialize import result_from_dict, result_to_dict
+from ..kernels.serialize import (
+    RESULT_FORMAT_VERSION,
+    result_from_dict,
+    result_to_dict,
+)
 from ..kernels.suites import get_profile
 from ..stats.cache import CacheStats
 
@@ -188,9 +194,12 @@ def cache_from_env() -> Optional["RunCache"]:
 class RunCache:
     """A directory of serialized simulation results, addressed by key.
 
-    Layout: ``<root>/<MODEL_FINGERPRINT>/<key[:2]>/<key>.json`` — the
-    two-level fan-out keeps directories small on FULL-grid sweeps, and
-    the fingerprint root makes a model change a clean miss.
+    Layout: ``<root>/<MODEL_FINGERPRINT>/r<RESULT_FORMAT_VERSION>/
+    <key[:2]>/<key>.json`` — the two-level fan-out keeps directories
+    small on FULL-grid sweeps, and the fingerprint and format
+    directories make a model change or a payload-format change a clean
+    miss: checkouts of different versions sharing one root read and
+    keep only their own entries, never each other's.
 
     ``get``/``put`` never propagate :class:`OSError`: each failure is
     counted (``CacheStats.io_errors``), and after ``error_threshold``
@@ -207,8 +216,12 @@ class RunCache:
         self._io_errors = 0
         self._disabled = False
 
+    def _entries_dir(self) -> Path:
+        """The directory of the current model's and format's entries."""
+        return self.root / MODEL_FINGERPRINT / f"r{RESULT_FORMAT_VERSION}"
+
     def _path(self, key: str) -> Path:
-        return self.root / MODEL_FINGERPRINT / key[:2] / f"{key}.json"
+        return self._entries_dir() / key[:2] / f"{key}.json"
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()
@@ -265,7 +278,7 @@ class RunCache:
         A missing file is a plain miss.  An *unreadable* file (EACCES,
         EIO, ...) additionally counts under ``errors``/``io_errors``
         and feeds the self-disable threshold.  Undecodable entries
-        (truncated writes, format drift) are deleted and counted under
+        (truncated writes, corrupt payloads) are deleted and counted under
         ``errors`` as well as ``misses``.  Never raises ``OSError``.
         """
         if self._disabled:
@@ -311,19 +324,21 @@ class RunCache:
         self.stats.bytes_written += len(text)
 
     def entry_count(self) -> int:
-        """Entries currently on disk for the current model."""
-        versioned = self.root / MODEL_FINGERPRINT
+        """Entries currently on disk for the current model and format."""
+        versioned = self._entries_dir()
         if not versioned.is_dir():
             return 0
         return sum(1 for _ in versioned.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every entry of the current model; returns count.
+        """Delete every entry of the current model and format; returns
+        count.
 
-        Emptied ``<key[:2]>`` fan-out directories are removed as well,
-        so a cleared cache leaves no skeleton behind.
+        Emptied ``<key[:2]>`` fan-out directories and the emptied format
+        directory are removed as well, so a cleared cache leaves no
+        skeleton behind.
         """
-        versioned = self.root / MODEL_FINGERPRINT
+        versioned = self._entries_dir()
         removed = 0
         if versioned.is_dir():
             for entry in versioned.glob("*/*.json"):
@@ -338,4 +353,8 @@ class RunCache:
                         subdir.rmdir()
                     except OSError:
                         pass  # not empty (foreign files) or in use
+            try:
+                versioned.rmdir()
+            except OSError:
+                pass
         return removed

@@ -306,11 +306,6 @@ def set_fast_forward(enabled: bool) -> None:
     _fast_forward = bool(enabled)
 
 
-def fast_forward_enabled() -> bool:
-    """Whether engines launched by this process fast-forward."""
-    return _fast_forward
-
-
 @contextlib.contextmanager
 def using_fast_forward(enabled: bool):
     """Temporarily override the fast-loop switch (CLI plumbing).

@@ -127,10 +127,6 @@ class Instruction:
         return self.opcode.name in ("bra", "ssy")
 
     @property
-    def writes_register(self) -> bool:
-        return self.dest is not None
-
-    @property
     def num_register_operands(self) -> int:
         """Register *source* operands — the OCU occupancy of Figure 8."""
         return len(self.sources)

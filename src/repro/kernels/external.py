@@ -35,7 +35,7 @@ writeback behaviour intact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
@@ -79,9 +79,6 @@ class TraceCase:
     @property
     def name(self) -> str:
         return self.trace.name
-
-    def with_designs(self, designs: Iterable[str]) -> "TraceCase":
-        return replace(self, designs=tuple(designs))
 
 
 def case_to_records(case: TraceCase) -> Iterator[Dict]:

@@ -9,13 +9,19 @@ of interesting traces.
 The format is plain JSON: one object per instruction, ``uid``-preserving
 within a file (shared static instructions across loop iterations stay
 shared after a round trip, which the compiler-hint machinery relies on).
+
+Simulation results, the run-cache payload, are JSON objects as well,
+with the register and memory images packed as base64 uint32 words (see
+:func:`result_to_dict`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 from ..errors import KernelError
 from ..isa import Instruction, WritebackHint
@@ -31,7 +37,7 @@ if TYPE_CHECKING:  # avoid the kernels -> gpu import cycle at runtime
 FORMAT_VERSION = 1
 
 #: Format version of serialized simulation results.
-RESULT_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 2
 
 
 def _instruction_to_dict(inst: Instruction) -> Dict:
@@ -144,33 +150,65 @@ def load_trace(path: Union[str, Path]) -> KernelTrace:
 # SimulationResult round-trip (the run-cache payload format)
 # ---------------------------------------------------------------------------
 
+def _pack_words(words: List[int]) -> str:
+    """Base64 of ``words`` as little-endian uint32, one per word."""
+    try:
+        raw = struct.pack(f"<{len(words)}I", *words)
+    except struct.error as error:
+        raise KernelError(f"image word is not a uint32: {error}") from None
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _unpack_words(text: str, width: int) -> Tuple[int, ...]:
+    """The uint32 words of :func:`_pack_words` text; ``width`` is the
+    record size in words, and a partial record is rejected."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % (4 * width):
+        raise KernelError(
+            f"image payload of {len(raw)} bytes is not a whole number "
+            f"of {4 * width}-byte records"
+        )
+    return struct.unpack(f"<{len(raw) // 4}I", raw)
+
+
 def result_to_dict(result: "SimulationResult") -> Dict:
     """Serialize a simulation result to a JSON-compatible dict.
 
-    The register image's ``(warp, register)`` tuple keys and the memory
-    image's integer keys are flattened to sorted triple/pair lists so
-    the encoding is canonical: equal results serialize to equal JSON.
+    ``"counters"`` is a plain JSON object.  The register and memory
+    images are each one base64 string of little-endian uint32 words:
+    ``warp, register, value`` triples and ``address, value`` pairs, in
+    sorted key order, so equal results serialize to equal JSON.  The
+    engine masks every register and memory value to 32 bits, so a word
+    outside ``0 .. 2**32 - 1`` is a bug and raises :class:`KernelError`
+    instead of being truncated.
     """
     return {
         "version": RESULT_FORMAT_VERSION,
         "counters": result.counters.as_dict(),
-        "registers": [
-            [warp_id, register_id, value]
+        "registers": _pack_words([
+            word
             for (warp_id, register_id), value
             in sorted(result.register_image.items())
-        ],
-        "memory": [
-            [address, value]
-            for address, value in sorted(result.memory_image.items())
-        ],
+            for word in (warp_id, register_id, value)
+        ]),
+        "memory": _pack_words([
+            word
+            for item in sorted(result.memory_image.items())
+            for word in item
+        ]),
     }
 
 
 def result_from_dict(data: Dict) -> "SimulationResult":
-    """Rebuild a simulation result from :func:`result_to_dict` output."""
+    """Rebuild a simulation result from :func:`result_to_dict` output.
+
+    Any malformed field (a missing key, an unknown counter, non-base64
+    text, an image that is not whole records) raises
+    :class:`KernelError`.
+    """
     from ..gpu.sm import SimulationResult
 
-    version = data.get("version")
+    version = data.get("version") if isinstance(data, dict) else None
     if version != RESULT_FORMAT_VERSION:
         raise KernelError(
             f"unsupported result format version {version!r} "
@@ -178,19 +216,14 @@ def result_from_dict(data: Dict) -> "SimulationResult":
         )
     try:
         counters = Counters(**data["counters"])
-        register_image = {
-            (int(warp_id), int(register_id)): int(value)
-            for warp_id, register_id, value in data["registers"]
-        }
-        memory_image = {
-            int(address): int(value) for address, value in data["memory"]
-        }
+        regs = _unpack_words(data["registers"], 3)
+        mem = _unpack_words(data["memory"], 2)
     except (KeyError, TypeError, ValueError) as error:
         raise KernelError(f"malformed result record: {error}") from None
     return SimulationResult(
         counters=counters,
-        register_image=register_image,
-        memory_image=memory_image,
+        register_image=dict(zip(zip(regs[0::3], regs[1::3]), regs[2::3])),
+        memory_image=dict(zip(mem[0::2], mem[1::2])),
     )
 
 

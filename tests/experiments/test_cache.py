@@ -25,6 +25,7 @@ from repro.experiments.runner import (
     run_design,
     set_cache,
 )
+from repro.kernels.serialize import RESULT_FORMAT_VERSION
 
 TINY = RunScale(num_warps=2, trace_scale=0.1)
 
@@ -195,7 +196,46 @@ class TestRunCache:
         result = execute_run("BFS", "baseline", scale=TINY)
         key = run_key("BFS", "baseline", 0, TINY)
         cache.put(key, result)
-        assert cache._path(key).parts[-3] == MODEL_FINGERPRINT
+        parts = cache._path(key).parts
+        assert parts[-4] == MODEL_FINGERPRINT
+        assert parts[-3] == f"r{RESULT_FORMAT_VERSION}"
+        assert parts[-2] == key[:2]
+
+    def test_entry_of_the_old_format_is_a_plain_miss(self, cache):
+        """A format-1 entry at its own path (no format directory), as
+        an older checkout sharing the root leaves it, is neither served
+        nor counted as an error, and stays on disk for that checkout."""
+        result = execute_run("BFS", "baseline", scale=TINY)
+        key = run_key("BFS", "baseline", 0, TINY)
+        planted = cache.root / MODEL_FINGERPRINT / key[:2] / f"{key}.json"
+        planted.parent.mkdir(parents=True)
+        planted.write_text(json.dumps({
+            "version": 1,
+            "counters": result.counters.as_dict(),
+            "registers": [[w, r, v] for (w, r), v
+                          in sorted(result.register_image.items())],
+            "memory": [[a, v] for a, v
+                       in sorted(result.memory_image.items())],
+        }))
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.errors == 0
+        assert planted.is_file()
+        assert cache.entry_count() == 0
+
+    def test_entry_of_another_format_misses(self, cache, monkeypatch):
+        """A run stored under another payload-format version is a
+        clean miss once the version changes, and is left in place."""
+        result = execute_run("BFS", "baseline", scale=TINY)
+        key = run_key("BFS", "baseline", 0, TINY)
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module, "RESULT_FORMAT_VERSION",
+                            RESULT_FORMAT_VERSION + 1)
+            cache.put(key, result)
+            other = cache._path(key)
+        assert cache.get(key) is None
+        assert cache.stats.errors == 0
+        assert other.is_file()
 
     def test_entry_of_another_model_misses(self, cache, monkeypatch):
         """A run stored under an older model's fingerprint is never

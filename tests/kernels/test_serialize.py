@@ -1,5 +1,6 @@
-"""Tests for trace serialization."""
+"""Tests for trace and result serialization."""
 
+import base64
 import json
 
 import pytest
@@ -173,3 +174,142 @@ class TestResultRoundTrip:
         path.write_text("not json {")
         with pytest.raises(KernelError):
             load_result(path)
+
+
+def _scorecard_points():
+    from repro.kernels.suites import benchmark_names
+
+    return [(name, design) for name in benchmark_names()
+            for design in ("baseline", "bow-wr")]
+
+
+class TestPackedResultFormat:
+    """Format 2: images as base64 little-endian uint32 words."""
+
+    @staticmethod
+    def _scale(**overrides):
+        from repro.experiments.runner import RunScale
+
+        return RunScale(**{"num_warps": 4, "trace_scale": 0.1, **overrides})
+
+    @staticmethod
+    def _assert_round_trip(result):
+        from repro.kernels.serialize import result_from_dict, result_to_dict
+
+        back = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+        assert back.counters == result.counters
+        assert back.register_image == result.register_image
+        assert back.memory_image == result.memory_image
+        assert back == result
+
+    @pytest.mark.parametrize("name,design", _scorecard_points())
+    def test_round_trip_every_benchmark(self, name, design):
+        from repro.experiments.runner import execute_run
+
+        self._assert_round_trip(
+            execute_run(name, design, scale=self._scale()))
+
+    def test_round_trip_device_result(self):
+        from repro.experiments.runner import execute_run
+
+        result = execute_run("NW", "bow", scale=self._scale(
+            num_warps=8, num_sms=2))
+        # Merged across both SMs: every launched warp has registers.
+        assert {warp for warp, _ in result.register_image} == set(range(8))
+        self._assert_round_trip(result)
+
+    def test_text_is_canonical_under_insertion_order(self):
+        from repro.gpu.sm import SimulationResult
+        from repro.kernels.serialize import result_to_dict
+        from repro.stats.counters import Counters
+
+        registers = {(w, r): w * 1000 + r for w in range(3) for r in range(5)}
+        memory = {address: address ^ 0xFFFF for address in range(0, 64, 4)}
+        texts = set()
+        for order in (sorted, lambda keys: sorted(keys, reverse=True),
+                      lambda keys: sorted(keys, key=hash)):
+            texts.add(json.dumps(result_to_dict(SimulationResult(
+                counters=Counters(cycles=7),
+                register_image={k: registers[k] for k in order(registers)},
+                memory_image={k: memory[k] for k in order(memory)},
+            ))))
+        assert len(texts) == 1
+
+    def _data(self):
+        from repro.core.bow_sm import simulate_design
+        from repro.kernels.serialize import result_to_dict
+
+        trace = build_benchmark_trace("NW", num_warps=2, scale=0.1)
+        return result_to_dict(simulate_design("bow", trace, memory_seed=4))
+
+    @pytest.mark.parametrize("field,payload", [
+        ("registers", "AAAA*AAA"),
+        ("memory", "AAAAAAAAAA!="),
+        ("registers", base64.b64encode(bytes(13)).decode("ascii")),
+        ("memory", base64.b64encode(bytes(12)).decode("ascii")),
+        ("registers", [[0, 1, 2]]),
+        ("memory", [[4, 5]]),
+    ], ids=["non-base64-registers", "non-base64-memory",
+            "registers-13-bytes", "memory-12-bytes",
+            "v1-registers", "v1-memory"])
+    def test_malformed_image_rejected(self, field, payload):
+        from repro.kernels.serialize import (
+            RESULT_FORMAT_VERSION,
+            result_from_dict,
+        )
+
+        data = self._data()
+        assert data["version"] == RESULT_FORMAT_VERSION == 2
+        data[field] = payload
+        with pytest.raises(KernelError):
+            result_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["version", "counters", "registers",
+                                       "memory"])
+    def test_missing_field_rejected(self, field):
+        from repro.kernels.serialize import result_from_dict
+
+        data = self._data()
+        del data[field]
+        with pytest.raises(KernelError):
+            result_from_dict(data)
+
+    @pytest.mark.parametrize("payload", [[], "text", None])
+    def test_non_object_rejected(self, payload):
+        from repro.kernels.serialize import result_from_dict
+
+        with pytest.raises(KernelError):
+            result_from_dict(payload)
+
+    @pytest.mark.parametrize("image", ["register_image", "memory_image"])
+    @pytest.mark.parametrize("word", [2 ** 32, -1])
+    def test_out_of_range_word_rejected(self, image, word):
+        from repro.gpu.sm import SimulationResult
+        from repro.kernels.serialize import result_to_dict
+        from repro.stats.counters import Counters
+
+        images = {"register_image": {(0, 1): 5}, "memory_image": {8: 9}}
+        images[image] = ({(0, 1): word} if image == "register_image"
+                         else {8: word})
+        with pytest.raises(KernelError):
+            result_to_dict(SimulationResult(counters=Counters(), **images))
+
+    def test_corrupt_cache_entry_is_a_counted_miss(self, tmp_path):
+        from repro.experiments.cache import RunCache
+        from repro.gpu.sm import SimulationResult
+        from repro.stats.counters import Counters
+
+        cache = RunCache(tmp_path / "runs")
+        key = "ab" + "0" * 62
+        cache.put(key, SimulationResult(
+            counters=Counters(cycles=3), register_image={(0, 1): 2},
+            memory_image={4: 5}))
+        path = cache._path(key)
+        data = json.loads(path.read_text())
+        data["memory"] = base64.b64encode(bytes(12)).decode("ascii")
+        path.write_text(json.dumps(data))
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.errors == 1
+        assert cache.stats.hits == 0
+        assert not path.exists()
