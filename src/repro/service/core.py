@@ -565,6 +565,8 @@ class SweepService:
             raise ServiceError(
                 f"deadline_ms must be positive, got {deadline_ms}")
 
+        # The job's time includes deriving its points' keys.
+        started = time.perf_counter()
         # Classify before mutating anything so admission is atomic:
         # a shed job leaves no trace in the queue or the registry.
         # The store is read in memory only: disk reads stay in run_grid,
@@ -592,7 +594,6 @@ class SweepService:
         job_id = self._job_ids
         self.stats.jobs += 1
         self._active_jobs += 1
-        started = time.perf_counter()
         loop = asyncio.get_running_loop()
         deadline = (loop.time() + deadline_ms / 1000.0
                     if deadline_ms is not None else None)

@@ -7,7 +7,12 @@ it is the one field allowed to differ), same register and memory
 images, same commit streams, same recorder rollups, and the same
 timeline sampling grid.  These tests pin that contract for every
 registered design, with a hypothesis sweep over generated kernels on
-top of the fixed seeds.
+top of the fixed seeds.  The sweep runs under three schedulers, with
+more warps than schedulers, so the issue stage's owed idle spans (GTO
+greedy resets, LRR pointers) and its multi-warp walk are exercised;
+a run that raises on ``max_cycles`` must leave the same counters on
+both loops, because the issue stage's integrated stall charges settle
+when ``run()`` raises too.
 """
 
 from __future__ import annotations
@@ -17,29 +22,44 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import GPUConfig, SchedulerPolicy
 from repro.core.bow_sm import simulate_design
 from repro.core.designs import design_names, get_design
+from repro.errors import DeadlockError
 from repro.fuzz.generator import FuzzConfig, generate_case
 from repro.gpu.sm import SMEngine
 from repro.stats.timeline import Timeline
 from repro.stats.trace import EventKind, TraceRecorder
 
 FUZZ = FuzzConfig(max_trace_instructions=120, max_warps=4)
+#: Up to two warps per scheduler (the default config has four).
+FUZZ_WIDE = FuzzConfig(max_trace_instructions=120, max_warps=8)
 WINDOW = 3
 MEMORY_SEED = 11
 
 ALL_DESIGNS = design_names()
 
+#: Scheduler setups of the generated-kernel sweep: GTO and LRR run on
+#: the issue profile with owed idle spans; two-level with two active
+#: warps keeps the full walk whenever its pending queue is non-empty.
+SCHEDULERS = {
+    "gto": GPUConfig(),
+    "lrr": GPUConfig(scheduler_policy=SchedulerPolicy.LRR),
+    "two-level": GPUConfig(scheduler_policy=SchedulerPolicy.TWO_LEVEL,
+                           two_level_active_warps=2),
+}
 
-def trace_for(design: str, seed: int):
-    case = generate_case(seed, FUZZ)
+
+def trace_for(design: str, seed: int, fuzz: FuzzConfig = FUZZ):
+    case = generate_case(seed, fuzz)
     return case.hinted if get_design(design).hinted else case.plain
 
 
-def run_design(design, trace, fast_forward, recorder=None):
+def run_design(design, trace, fast_forward, recorder=None, config=None):
     return simulate_design(
-        design, trace, window_size=WINDOW, memory_seed=MEMORY_SEED,
-        recorder=recorder, fast_forward=fast_forward,
+        design, trace, window_size=WINDOW, config=config,
+        memory_seed=MEMORY_SEED, recorder=recorder,
+        fast_forward=fast_forward,
     )
 
 
@@ -74,14 +94,53 @@ class TestSimulationResultParity:
         fast = run_design(design, trace, fast_forward=True)
         assert fast.counters.fast_forwarded_cycles > 0
 
+    @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
            design=st.sampled_from(ALL_DESIGNS))
-    def test_parity_over_generated_kernels(self, seed, design):
-        trace = trace_for(design, seed)
-        fast = run_design(design, trace, fast_forward=True)
-        slow = run_design(design, trace, fast_forward=False)
+    def test_parity_over_generated_kernels(self, policy, seed, design):
+        trace = trace_for(design, seed, FUZZ_WIDE)
+        config = SCHEDULERS[policy]
+        fast = run_design(design, trace, fast_forward=True, config=config)
+        slow = run_design(design, trace, fast_forward=False, config=config)
         assert_identical(fast, slow)
+
+
+class TestRaiseParity:
+    """A run cut short by ``max_cycles`` leaves the reference counters.
+
+    The fast loop leaves idle cycles' stall charges owed to the issue
+    stage; they must be settled when ``run()`` raises, not only when
+    it returns.
+    """
+
+    @staticmethod
+    def counters_at_raise(design, trace, fast_forward, max_cycles):
+        spec = get_design(design)
+        engine = SMEngine(
+            trace,
+            provider_factory=lambda eng: spec.provider(eng, WINDOW),
+            memory_seed=MEMORY_SEED,
+            fast_forward=fast_forward,
+        )
+        with pytest.raises(DeadlockError):
+            engine.run(max_cycles=max_cycles)
+        counters = dataclasses.asdict(engine.counters)
+        return counters.pop("fast_forwarded_cycles"), counters
+
+    @pytest.mark.parametrize("design", ["baseline", "bow-wr"])
+    def test_counters_identical_when_max_cycles_raises(self, design):
+        trace = trace_for(design, seed=5, fuzz=FUZZ_WIDE)
+        total = run_design(design, trace, fast_forward=True).counters.cycles
+        for max_cycles in (total // 3, total // 2, total - 1):
+            jumped, fast = self.counters_at_raise(design, trace, True,
+                                                  max_cycles)
+            _, slow = self.counters_at_raise(design, trace, False,
+                                             max_cycles)
+            assert fast["cycles"] == max_cycles
+            assert fast["issue_stalls_scoreboard"] > 0
+            assert fast == slow, max_cycles
+        assert jumped > 0
 
 
 class TestRecorderParity:

@@ -139,6 +139,27 @@ class TestSingleFlight:
         assert all(outcome.source == "warm" for outcome in job.outcomes)
         assert service.stats.warm_hits == len(job.outcomes)
 
+    def test_job_time_counts_key_derivation(self, monkeypatch):
+        import time
+
+        spec = PointSpec.create("BFS", "baseline", 3, TINY)
+        key = spec.key()
+        run_design("BFS", "baseline", 3, TINY)  # warm the store
+
+        def slow_key(self):
+            time.sleep(0.005)
+            return key
+
+        monkeypatch.setattr(PointSpec, "key", slow_key)
+
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                return await service.submit([spec])
+
+        job = asyncio.run(scenario())
+        assert [outcome.source for outcome in job.outcomes] == ["warm"]
+        assert job.seconds >= 0.005
+
     def test_point_resolved_by_run_grid_is_answered_warm(self):
         from repro.experiments.grid import run_grid
 

@@ -10,10 +10,12 @@ every stage and the full issue walk every cycle and never jumps.  For
 the chosen benchmark trace, both loops must be bit-identical for every
 registered design — same counters (``fast_forwarded_cycles`` aside,
 the one field that measures the optimization itself), same register
-image, same memory image — under two schedulers:
+image, same memory image — under three schedulers:
 
 * GTO, the paper's policy, where the fast loop switches to the cached
   issue profile after the first fruitless cycle;
+* LRR, which also runs on the profile; its rotating pointer checks that
+  the idle spans each scheduler is owed land before it is consulted;
 * two-level with an active set of two warps, whose non-empty pending
   queue keeps the fast loop on the full all-warps issue walk every
   cycle and forbids idle-span jumps.
@@ -42,6 +44,7 @@ WINDOW = 3
 #: Scheduler setups the gate covers (see the module docstring).
 SCHEDULERS = {
     "gto": GPUConfig(),
+    "lrr": GPUConfig(scheduler_policy=SchedulerPolicy.LRR),
     "two-level": GPUConfig(scheduler_policy=SchedulerPolicy.TWO_LEVEL,
                            two_level_active_warps=2),
 }
